@@ -49,6 +49,9 @@ if [[ "${1:-}" != "--no-smoke" ]]; then
   echo "== monitor smoke (<=5% monitored-serving overhead + flight-recorder export) =="
   python -m pytest benchmarks/bench_monitor.py -q -s
 
+  echo "== perfbench smoke (every workload at tiny sizes, answers checked; writes to a tempdir) =="
+  python3 perfbench/smoke.py
+
   echo "== consolidating BENCH_*.json trajectories =="
   python benchmarks/consolidate_bench.py
 fi

@@ -4,10 +4,13 @@ The layer that turns the repository's batch routers into a *server*:
 
 * :class:`DemandModel` — heavy-tailed per-user traffic over any key
   corpus (who asks, what for, from where);
-* :class:`RouteCache` — LRU hot-key → owner memoisation with
+* :class:`RouteCache` — exact-LRU hot-key → owner memoisation on sorted
+  numpy arrays of keys, owners and recency stamps (the live entries are
+  always the ``capacity`` keys touched most recently), with
   hit/miss/eviction accounting mirrored into :mod:`repro.telemetry`;
 * :class:`ServingEngine` — the ring-buffer admission loop around
-  :class:`repro.core.metric_routing.StreamFrontier`: micro-batches of
+  :class:`repro.core.metric_routing.StreamFrontier` (``submit``
+  rejects out-of-range sources and non-finite keys): micro-batches of
   the query stream join the live frontier continuously, retired walks
   stream into p50/p99/p999 latency + hops SLO quantiles, and per-query
   outcomes stay bit-identical across worker counts and to batch replay.

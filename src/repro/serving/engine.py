@@ -197,20 +197,17 @@ class _RingBuffer:
     def capacity(self) -> int:
         return len(self._keys)
 
-    def _logical(self, arr: np.ndarray) -> np.ndarray:
-        cap = self.capacity
-        idx = (self._head + np.arange(self._size)) % cap
-        return arr[idx]
-
     def _grow(self, needed: int) -> None:
         cap = self.capacity
         new_cap = cap
         while new_cap < needed:
             new_cap *= 2
+        # FIFO order from the old capacity, before any array is swapped.
+        logical = (self._head + np.arange(self._size)) % cap
         for name in ("_sources", "_keys", "_tickets"):
             arr = getattr(self, name)
             grown = np.empty(new_cap, dtype=arr.dtype)
-            grown[: self._size] = self._logical(arr)
+            grown[: self._size] = arr[logical]
             setattr(self, name, grown)
         self._head = 0
 
@@ -374,11 +371,21 @@ class ServingEngine:
 
         Tickets are dense submission sequence numbers — the row index
         of each query in :meth:`results`.
+
+        Raises:
+            ValueError: if the arrays are misaligned, a source is not a
+                peer index in ``[0, graph.n)`` or a key is not finite.
+                A rejected chunk leaves the engine untouched: no ticket
+                is issued and nothing is queued.
         """
         sources = np.asarray(sources, dtype=np.int64)
         keys = np.asarray(keys, dtype=float)
         if sources.ndim != 1 or keys.ndim != 1 or len(sources) != len(keys):
             raise ValueError("sources and keys must be aligned 1-d arrays")
+        if len(sources) and (sources.min() < 0 or sources.max() >= self.graph.n):
+            raise ValueError(f"sources must be peer indices in [0, {self.graph.n})")
+        if not np.isfinite(keys).all():
+            raise ValueError("keys must be finite")
         m = len(keys)
         tickets = np.arange(self._next_ticket, self._next_ticket + m, dtype=np.int64)
         self._next_ticket += m

@@ -129,6 +129,23 @@ class TestRouteCache:
         assert hit.all() and owners[0] == 9
         assert len(cache) == 1 and cache.evictions == 0
 
+    def test_evicted_then_reinserted_in_one_batch_counts_twice(self):
+        # Applied one key at a time, 0.3 evicts 0.1 (the LRU entry), and
+        # re-inserting 0.1 then evicts 0.2: two evictions, not one.
+        cache = RouteCache(2)
+        cache.insert(np.array([0.1, 0.2]), np.array([1, 2]))
+        cache.insert(np.array([0.3, 0.1]), np.array([3, 4]))
+        assert cache.evictions == 2 and len(cache) == 2
+        owners, hit = cache.lookup(np.array([0.1, 0.2, 0.3]))
+        assert hit.tolist() == [True, False, True]
+        assert owners.tolist() == [4, -1, 3]
+
+    def test_signed_zeros_are_one_key(self):
+        cache = RouteCache(4)
+        cache.insert(np.array([0.0, -0.0]), np.array([1, 2]))
+        owners, hit = cache.lookup(np.array([0.0, -0.0]))
+        assert hit.all() and owners.tolist() == [2, 2] and len(cache) == 1
+
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
             RouteCache(0)
@@ -228,6 +245,18 @@ class TestRingBuffer:
         assert len(ring) == 100
         _, _, popped = ring.pop(100)
         assert np.array_equal(popped, t)
+
+    def test_grows_while_wrapped(self):
+        ring = _RingBuffer(capacity=4)
+        t = np.arange(7, dtype=np.int64)
+        ring.push(t[:3], t[:3] / 100.0, t[:3])
+        ring.pop(2)
+        ring.push(t[3:6], t[3:6] / 100.0, t[3:6])  # wraps round the end
+        ring.push(t[6:], t[6:] / 100.0, t[6:])  # grows while wrapped
+        sources, keys, tickets = ring.pop(len(ring))
+        assert tickets.tolist() == [2, 3, 4, 5, 6]
+        assert np.array_equal(sources, tickets)
+        assert np.array_equal(keys, tickets / 100.0)
 
 
 class TestServingEngine:
@@ -356,3 +385,27 @@ class TestServingEngine:
         engine = ServingEngine(graph)
         with pytest.raises(ValueError):
             engine.submit(np.array([1, 2]), np.array([0.5]))
+
+    @pytest.mark.parametrize(
+        "sources, keys",
+        [
+            # 0.25 is cached by then: a bad source on it never reaches the router.
+            ([0, -1], [0.5, 0.25]),
+            ([0, 4096], [0.5, 0.25]),  # the graph fixture has n = 4096
+            ([0, 1], [0.25, np.nan]),
+            ([0, 1], [np.inf, 0.5]),
+        ],
+    )
+    def test_submit_rejects_bad_rows_without_side_effects(self, graph, sources, keys):
+        engine = ServingEngine(graph, ServeConfig(cache_capacity=64))
+        engine.submit(np.array([3]), np.array([0.25]))
+        engine.drain()
+        before = engine.results()
+        with pytest.raises(ValueError):
+            engine.submit(np.array(sources), np.array(keys))
+        assert engine.pending == 0
+        after = engine.results()
+        assert len(after) == len(before) == 1
+        for col in (*RESULT_COLUMNS, "sources", "keys", "cache_hit", "completed"):
+            assert np.array_equal(getattr(after, col), getattr(before, col)), col
+        assert engine.submit(np.array([5]), np.array([0.5])).tolist() == [1]
