@@ -5,20 +5,26 @@ Three parts:
 * the E9 robustness tables and damage kernels (as before, now including
   the E9c live-churn table);
 * the bulk live-overlay engine's churn-throughput gate — one 10%%
-  leave/join/repair round at n=1e5 on the array engine, against a
-  scaled scalar-engine workload on the *same* population (the scalar
-  reference cannot finish a full round in bench time) — must be >= 5x
-  the scalar events/sec;
+  leave/join/repair round at n=1e5 of cohort passes on
+  :class:`repro.overlay.Network`, against a scaled per-peer workload
+  (``join_known_f`` / ``refresh_peer``) on the *same* population held in
+  the dict-of-PeerState reference ``DictNetwork`` (it cannot finish a
+  full round in bench time) — must be >= 5x the per-peer events/sec;
 * a full-size sustain run: several 10%% churn rounds at n=1e5 with
   batch-routed lookup checks.
 
 Each gated run appends a trajectory entry to
 ``benchmarks/results/BENCH_churn.json`` so churn throughput is tracked
 across PRs.  ``ci.sh`` runs the gates as a smoke via ``-k bulk``.
+
+``DictNetwork`` lives in ``tests/oracles/dict_network.py``; this module
+puts ``tests/`` on ``sys.path`` to import it, as pytest does for the
+test suite.
 """
 
 import json
 import pathlib
+import sys
 import time
 
 import numpy as np
@@ -38,6 +44,9 @@ from repro.overlay import (
     sample_cohort_ids,
 )
 
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+from oracles.dict_network import DictNetwork  # noqa: E402
+
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 TRAJECTORY = RESULTS_DIR / "BENCH_churn.json"
 
@@ -54,7 +63,7 @@ def _record_trajectory(entry: dict) -> None:
     TRAJECTORY.write_text(json.dumps(history, indent=2) + "\n")
 
 
-def _scalar_churn_events(net: Network, dist, n_events: int, rng) -> None:
+def _scalar_churn_events(net: DictNetwork, dist, n_events: int, rng) -> None:
     """Run ``n_events`` churn events (half leaves, half joins + refresh)
     through the per-peer reference protocols."""
     half = n_events // 2
@@ -85,14 +94,14 @@ def test_bulk_churn_speedup_over_scalar():
     dist = Uniform()
     graph = build_uniform_model(n=N_SUSTAIN, rng=np.random.default_rng(1))
 
-    scalar_net = Network.from_graph(graph, engine="scalar")
+    scalar_net = DictNetwork.from_graph(graph)
     rng = np.random.default_rng(2)
     start = time.perf_counter()
     _scalar_churn_events(scalar_net, dist, SCALAR_EVENTS, rng)
     scalar_seconds = time.perf_counter() - start
     scalar_eps = SCALAR_EVENTS / scalar_seconds
 
-    bulk_net = Network.from_graph(graph, engine="array")
+    bulk_net = Network.from_graph(graph)
     rng = np.random.default_rng(3)
     start = time.perf_counter()
     bulk_events = _bulk_churn_round(bulk_net, dist, CHURN_FRACTION, rng)

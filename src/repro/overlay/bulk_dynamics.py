@@ -6,7 +6,7 @@ overlay still processed churn one peer at a time: every joiner drew its
 so churn experiments stalled three orders of magnitude below the sizes
 the static builders reach.  This module is the dynamic counterpart of
 :mod:`repro.core.bulk_construction`: whole *cohorts* of joins, leaves
-and repairs advance in vectorized rounds over the array engine of
+and repairs advance in vectorized rounds over the slab storage of
 :class:`repro.overlay.Network`.
 
 :func:`bulk_join`
@@ -23,7 +23,7 @@ and repairs advance in vectorized rounds over the array engine of
 :func:`bulk_leave`
     remove a cohort with one masked splice; departed rows park on the
     slab free-list, links *to* the departed dangle until repair —
-    identical failure semantics to scalar :meth:`Network.remove_peer`.
+    identical failure semantics to per-peer :meth:`Network.remove_peer`.
 
 :func:`bulk_repair`
     one vectorized maintenance round: purge the free-list's stale rows,
@@ -35,16 +35,15 @@ and repairs advance in vectorized rounds over the array engine of
 
 :func:`bulk_bootstrap`
     grow a network from empty in doubling cohorts, reproducing the
-    scalar :func:`repro.overlay.join.bootstrap_network` degree profile
+    per-peer :func:`repro.overlay.join.bootstrap_network` degree profile
     (each joiner's budget is ``log2`` of the population as of its
     cohort) at bulk speed.
 
-The scalar protocols remain the reference implementations: on a
-``Network(engine="scalar")`` the cohort entry points fall back to the
-per-peer protocol loops, and the equivalence suite in
-``tests/test_bulk_dynamics.py`` holds the two engines statistically
-indistinguishable (KS on degree and link-mass distributions, dangling
-accounting, ring integrity).
+The per-peer protocols (:func:`repro.overlay.join.join_known_f`,
+:func:`repro.overlay.maintenance.refresh_peer`) remain the reference:
+the equivalence suite in ``tests/test_bulk_dynamics.py`` holds the
+cohort rounds statistically indistinguishable from them (KS on degree
+and link-mass distributions, dangling accounting, ring integrity).
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from repro.core.theory import default_out_degree
 from repro.distributions import Distribution, Empirical
 from repro.estimation import uniform_id_sample
 from repro.keyspace import membership_mask, nearest_indices
-from repro.overlay.join import join_known_f
 from repro.overlay.network import Network
 
 __all__ = [
@@ -73,7 +71,7 @@ __all__ = [
 ]
 
 #: Retry rounds before giving up on a deficient row; every outstanding
-#: link is redrawn once per round, mirroring the scalar protocols'
+#: link is redrawn once per round, mirroring the per-peer protocols'
 #: ``max_attempts = 4k`` overall draw budget.
 DEFAULT_MAX_ROUNDS = 8
 
@@ -122,7 +120,7 @@ def _resolve_links(
     :func:`bulk_repair`: each member draws toward ``want[i]`` *distinct*
     live targets under its eq. (7) cutoff ``cutoff[i]``, redrawing only
     its deficit each round (per-member budgets let a cohort reproduce
-    the scalar protocol's "``log2 N`` as of my own join" profile).
+    the per-peer protocol's "``log2 N`` as of my own join" profile).
     ``seed_keys`` (sorted, distinct ``local_row * n + col`` keys)
     pre-populate the accepted set with links the member already holds,
     so repairs never duplicate a kept link.
@@ -144,7 +142,7 @@ def _resolve_links(
         m, dtype=np.int64
     )
     # A member without harmonic mass beyond the cutoff keeps what it has
-    # (the scalar protocols bail out on the first empty draw).
+    # (the per-peer protocols bail out on the first empty draw).
     target = np.where(has_mass, np.maximum(want, have), have)
     rounds = 0
     for _ in range(max_rounds):
@@ -229,11 +227,8 @@ def bulk_join(
     member draws its long links together (see module docstring).  By
     default all members link with the post-join ``log2 N`` budget and
     ``1/N`` cutoff; pass per-member arrays to reproduce a staggered
-    arrival schedule (as :func:`bulk_bootstrap` does to match the scalar
-    protocol's "``log2 N`` as of my own join" degree profile).
-
-    On a scalar-engine network this falls back to per-peer
-    :func:`repro.overlay.join.join_known_f` calls (the reference path).
+    arrival schedule (as :func:`bulk_bootstrap` does to match the
+    per-peer protocol's "``log2 N`` as of my own join" degree profile).
 
     Args:
         network: the live overlay.
@@ -267,17 +262,6 @@ def bulk_join(
         out_degree, np.full(m, default_out_degree(post_n), dtype=float), m, "out_degree"
     )[order].astype(np.int64)
     c = _per_member(cutoff, np.full(m, 1.0 / post_n), m, "cutoff")[order]
-    if network.engine == "scalar":
-        inverse = np.argsort(order, kind="stable")
-        for i, peer_id in enumerate(ids.tolist()):
-            receipt = join_known_f(
-                network, distribution, rng,
-                peer_id=peer_id,
-                out_degree=int(k[inverse[i]]),
-                cutoff=float(c[inverse[i]]),
-            )
-            report.links_installed += len(receipt.long_links)
-        return report
     if membership_mask(network.ids_array(), cohort).any():
         raise ValueError("cohort contains identifiers that are already live")
 
@@ -306,9 +290,6 @@ def bulk_join(
 def bulk_leave(network: Network, ids: np.ndarray) -> BulkReport:
     """Depart a whole cohort silently (links to it dangle until repair).
 
-    On a scalar-engine network this falls back to per-peer
-    :meth:`Network.remove_peer` calls.
-
     Raises:
         KeyError: if any identifier is not live.
         ValueError: for duplicate identifiers in the cohort.
@@ -320,10 +301,6 @@ def bulk_leave(network: Network, ids: np.ndarray) -> BulkReport:
     leaving = np.sort(ids)
     if np.any(np.diff(leaving) == 0):
         raise ValueError("cohort contains duplicate identifiers")
-    if network.engine == "scalar":
-        for peer_id in ids.tolist():
-            network.remove_peer(peer_id)
-        return report
     present = membership_mask(network.ids_array(), leaving)
     if not present.all():
         missing = float(leaving[~present][0])
@@ -359,7 +336,7 @@ def bulk_repair(
     ``refresh=True``, rebuilt from scratch — the batch equivalent of
     :func:`repro.overlay.maintenance.refresh_peer`.
 
-    Where the scalar maintenance path estimates ``f`` per peer, the bulk
+    Where the per-peer maintenance path estimates ``f`` per peer, the bulk
     round fits **one** shared estimate per call when ``distribution`` is
     ``None`` (one ``sample_size`` gossip sample of live ids through
     ``estimator_factory`` / :class:`~repro.distributions.Empirical`) —
@@ -369,18 +346,19 @@ def bulk_repair(
     **Repair cost conventions.**  The bulk engine resolves link targets
     by ownership search, which costs no routed hops — the default
     ``cost_model="ownership"`` therefore reports ``lookup_hops = 0``.
-    ``cost_model="routed"`` prices the round in the scalar maintenance
-    path's convention instead: every *newly installed* link is charged
-    the hops of one batch-routed lookup from its owner over the repaired
-    topology (kept links are free).  Two deliberate approximations keep
-    this a post-hoc price, not a behaviour change: the scalar path also
+    ``cost_model="routed"`` prices the round in the per-peer
+    :func:`~repro.overlay.maintenance.refresh_peer` convention instead:
+    every *newly installed* link is charged the hops of one batch-routed
+    lookup from its owner over the repaired topology (kept links are
+    free).  Two deliberate approximations keep this a post-hoc price,
+    not a behaviour change: the per-peer protocol also
     pays hops for draws it later rejects, and it routes over the
     half-rebuilt network mid-refresh; the routed model prices only the
     surviving links, after the round.  Experiment tables E9c/E10 record
     which convention each row uses.
 
     Args:
-        network: a live overlay on the array engine.
+        network: the live overlay.
         rng: random source.
         distribution: the true ``f`` when globally known.
         fraction: fraction of live peers processed, in ``(0, 1]``.
@@ -394,15 +372,9 @@ def bulk_repair(
             or ``"routed"`` (price new links in routed hops).
 
     Raises:
-        ValueError: on a scalar-engine network (use
-            :func:`repro.overlay.maintenance.maintenance_round`), for a
-            fraction outside ``(0, 1]``, or an unknown cost model.
+        ValueError: for a fraction outside ``(0, 1]`` or an unknown cost
+            model.
     """
-    if network.engine != "array":
-        raise ValueError(
-            "bulk_repair requires Network(engine='array'); the scalar "
-            "reference path is maintenance_round/refresh_peer"
-        )
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     if cost_model not in ("ownership", "routed"):
@@ -492,7 +464,7 @@ def sample_cohort_ids(
 ) -> np.ndarray:
     """Draw ``m`` fresh identifiers from ``f``, none colliding with the live set.
 
-    The vectorized form of the scalar joiners' rejection loop ("sample
+    The vectorized form of the per-peer joiners' rejection loop ("sample
     until the id is unused").
 
     Raises:
@@ -536,13 +508,13 @@ def bulk_bootstrap(
     cutoff: float | None = None,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
 ) -> Network:
-    """Grow an array-engine network from empty to ``n`` peers in doubling cohorts.
+    """Grow a network from empty to ``n`` peers in doubling cohorts.
 
     The bulk counterpart of :func:`repro.overlay.join.bootstrap_network`
     (``protocol="known"``): cohort sizes double (1, 1, 2, 4, ...), and
     within each cohort every member is assigned the arrival rank it
     would have had under one-at-a-time joins, so its ``log2 N`` budget
-    and ``1/N`` cutoff are exactly the scalar protocol's per-join values
+    and ``1/N`` cutoff are exactly the per-peer protocol's per-join values
     — the degree profile the equivalence suite pins matches by
     construction, at bulk speed.
 
@@ -551,7 +523,7 @@ def bulk_bootstrap(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    network = Network(space=space, engine="array")
+    network = Network(space=space)
     while network.n < n:
         m = min(max(1, network.n), n - network.n)
         cohort = sample_cohort_ids(network, distribution, m, rng)

@@ -10,25 +10,17 @@ links"), and each peer owns an explicit set of long-range links that may
 Peers are addressed by identifier (a float in ``[0, 1)``), not by index:
 indices are meaningless in a population that changes.
 
-Two storage engines back the same API:
-
-``engine="array"`` (the default)
-    the sorted identifier vector is a numpy array and every peer's long
-    links live in one row of a shared *slab* — a 2-d float array of link
-    targets plus a per-row count, with departed peers' rows recycled
-    through a free-list (the mutable sibling of the CSR layout in
-    :mod:`repro.core.adjacency`).  This is the layout the bulk engine
-    (:mod:`repro.overlay.bulk_dynamics`) operates on with whole-cohort
-    numpy passes, and it makes population-wide queries
-    (:meth:`dangling_link_count`, :meth:`mean_long_degree`,
-    :meth:`snapshot`) single vectorized sweeps.
-
-``engine="scalar"``
-    the original dict-of-:class:`PeerState` interior, kept verbatim as
-    the readable reference implementation.  Both engines expose peers
-    through :meth:`peer`, so every scalar protocol (joins, refresh,
-    scalar routing) runs unchanged on either; equivalence tests drive
-    the same operation sequence through both and compare states.
+The sorted identifier vector is a numpy array and every peer's long
+links live in one row of a shared *slab* — a 2-d float array of link
+targets plus a per-row count, with departed peers' rows recycled
+through a free-list (the mutable sibling of the CSR layout in
+:mod:`repro.core.adjacency`).  The bulk engine
+(:mod:`repro.overlay.bulk_dynamics`) operates on this layout with
+whole-cohort numpy passes, and it makes population-wide queries
+(:meth:`dangling_link_count`, :meth:`mean_long_degree`,
+:meth:`snapshot`) single vectorized sweeps.  Per-peer protocols (joins,
+refresh, :meth:`Network.route`) reach a peer's row through the
+:class:`PeerView` handle that :meth:`Network.peer` returns.
 
 A freed slab row deliberately keeps the departed peer's stale link
 targets until the next repair round
@@ -39,7 +31,6 @@ recycled for a joiner, which clears it first.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -50,7 +41,7 @@ from repro.keyspace import IntervalSpace, KeySpace, membership_mask, nearest_ind
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.graph import SmallWorldGraph
 
-__all__ = ["PeerState", "PeerView", "LinkRowView", "LookupResult", "Network"]
+__all__ = ["PeerView", "LinkRowView", "LookupResult", "Network"]
 
 #: Initial slab geometry: rows (peers) and columns (links per peer) both
 #: grow by doubling, so repeated joins are amortised O(1) per peer.
@@ -58,42 +49,43 @@ _MIN_SLOTS = 16
 _MIN_WIDTH = 4
 
 
-@dataclass
-class PeerState:
-    """Mutable routing state of one live peer (scalar engine).
+class _PeerRow:
+    """A slab row bound to the peer that owned it when the handle was made.
 
-    Attributes:
-        peer_id: the peer's identifier.
-        long_links: identifiers of long-range neighbours.  A link whose
-            target has departed is *dangling*: routing skips it and
-            maintenance replaces it.
+    Every access goes through :meth:`_row`, which raises :class:`KeyError`
+    once that peer has departed — its row may already be recycled for a
+    later joiner, and a stale handle must not reach it.
     """
 
-    peer_id: float
-    long_links: list[float] = field(default_factory=list)
+    __slots__ = ("_net", "_peer_id", "_slot")
+
+    def __init__(self, net: "Network", peer_id: float, slot: int):
+        self._net = net
+        self._peer_id = peer_id
+        self._slot = slot
+
+    def _row(self) -> int:
+        if self._net._slot_of.get(self._peer_id) != self._slot:
+            raise KeyError(f"peer {self._peer_id!r} is no longer live")
+        return self._slot
 
 
-class LinkRowView:
-    """Mutable sequence view of one peer's long links in the array slab.
+class LinkRowView(_PeerRow):
+    """Mutable sequence view of one peer's long links in the slab.
 
     Supports the list operations the join/maintenance protocols use
     (``append``, ``extend``, ``clear``, iteration, ``len``, ``in``,
-    indexing) and writes through to the owning network's slab row, so
-    scalar protocols are oblivious to the storage engine.
+    indexing) and writes through to the owning network's slab row.
     """
 
-    __slots__ = ("_net", "_slot")
-
-    def __init__(self, net: "Network", slot: int):
-        self._net = net
-        self._slot = slot
+    __slots__ = ()
 
     def _values(self) -> np.ndarray:
-        net = self._net
-        return net._link_tg[self._slot, : net._link_cnt[self._slot]]
+        slot = self._row()
+        return self._net._link_tg[slot, : self._net._link_cnt[slot]]
 
     def __len__(self) -> int:
-        return int(self._net._link_cnt[self._slot])
+        return len(self._values())
 
     def __iter__(self):
         return iter(self._values().tolist())
@@ -113,14 +105,14 @@ class LinkRowView:
     __hash__ = None  # mutable view; defining __eq__ disables hashing
 
     def append(self, target: float) -> None:
-        self._net._append_link(self._slot, float(target))
+        self._net._append_link(self._row(), float(target))
 
     def extend(self, targets) -> None:
         for target in targets:
             self.append(target)
 
     def clear(self) -> None:
-        self._net._set_slot_links(self._slot, ())
+        self._net._set_slot_links(self._row(), ())
 
     def tolist(self) -> list[float]:
         return self._values().tolist()
@@ -129,34 +121,34 @@ class LinkRowView:
         return f"LinkRowView({self.tolist()!r})"
 
 
-class PeerView:
-    """Peer handle over the array engine, API-compatible with :class:`PeerState`.
+class PeerView(_PeerRow):
+    """Handle on one live peer: its identifier and its slab row of long links.
 
     ``long_links`` reads and writes the peer's slab row; assigning a list
-    to it replaces the whole row, exactly like rebinding
-    ``PeerState.long_links``.
+    to it replaces the whole row.  Link access raises :class:`KeyError`
+    once the peer has departed.
     """
 
-    __slots__ = ("_net", "_slot")
-
-    def __init__(self, net: "Network", slot: int):
-        self._net = net
-        self._slot = slot
+    __slots__ = ()
 
     @property
     def peer_id(self) -> float:
-        return float(self._net._slot_id[self._slot])
+        return self._peer_id
 
     @property
     def long_links(self) -> LinkRowView:
-        return LinkRowView(self._net, self._slot)
+        return LinkRowView(self._net, self._peer_id, self._row())
 
     @long_links.setter
     def long_links(self, targets) -> None:
-        self._net._set_slot_links(self._slot, targets)
+        self._net._set_slot_links(self._row(), targets)
 
     def __repr__(self) -> str:
-        return f"PeerView(peer_id={self.peer_id!r}, long_links={self.long_links.tolist()!r})"
+        try:
+            links = self.long_links.tolist()
+        except KeyError:
+            return f"PeerView(peer_id={self._peer_id!r}, departed)"
+        return f"PeerView(peer_id={self._peer_id!r}, long_links={links!r})"
 
 
 @dataclass
@@ -183,34 +175,21 @@ class Network:
     Args:
         space: key-space geometry; the interval matches the paper's
             proofs, the ring matches deployed DHT practice.
-        engine: ``"array"`` (default, slab-backed, bulk-operable) or
-            ``"scalar"`` (dict-of-PeerState reference implementation).
 
     The sorted peer list gives every peer its immediate neighbours "for
     free" (they are maintained by the join/leave splice, exactly as the
     paper's join protocol prescribes), so only long links carry state.
-
-    Raises:
-        ValueError: for an unknown engine.
     """
 
-    def __init__(self, space: KeySpace | None = None, engine: str = "array"):
-        if engine not in ("array", "scalar"):
-            raise ValueError(f"unknown engine {engine!r}; choose 'array' or 'scalar'")
+    def __init__(self, space: KeySpace | None = None):
         self.space = space or IntervalSpace()
-        self.engine = engine
-        if engine == "scalar":
-            self._sorted_ids: list[float] = []
-            self._peers: dict[float, PeerState] = {}
-        else:
-            self._ids = np.empty(0, dtype=float)
-            self._slot_at = np.empty(0, dtype=np.int64)  # sorted pos -> slab row
-            self._slot_of: dict[float, int] = {}  # id -> slab row
-            self._slot_id = np.empty(0, dtype=float)  # slab row -> occupying id
-            self._link_tg = np.empty((0, 0), dtype=float)  # slab link targets
-            self._link_cnt = np.empty(0, dtype=np.int64)  # slab per-row counts
-            self._free_slots: list[int] = []
-            self._slots_used = 0
+        self._ids = np.empty(0, dtype=float)
+        self._slot_at = np.empty(0, dtype=np.int64)  # sorted pos -> slab row
+        self._slot_of: dict[float, int] = {}  # id -> slab row
+        self._link_tg = np.empty((0, 0), dtype=float)  # slab link targets
+        self._link_cnt = np.empty(0, dtype=np.int64)  # slab per-row counts
+        self._free_slots: list[int] = []
+        self._slots_used = 0
 
     # ------------------------------------------------------------------
     # construction from snapshots
@@ -224,9 +203,18 @@ class Network:
         churn experiments start from a Theorem-2 construction without
         paying per-peer joins.
 
+        Args:
+            graph: the snapshot to load.
+            engine: must be ``"array"``.  The keyword survives only for
+                ``perfbench/churn_workload.py``, its one remaining
+                caller, and is due to be removed.
+
         Raises:
-            ValueError: for duplicate identifiers in the snapshot.
+            ValueError: for identifiers outside ``[0, 1)``, duplicate
+                identifiers in the snapshot, or any other ``engine``.
         """
+        if engine != "array":
+            raise ValueError(f"unknown engine {engine!r}; only 'array' is supported")
         ids = np.asarray(graph.ids, dtype=float)
         if len(ids) and (
             not np.all(np.isfinite(ids)) or ids[0] < 0.0 or ids[-1] >= 1.0
@@ -234,15 +222,7 @@ class Network:
             raise ValueError("snapshot identifiers must lie in [0, 1)")
         if np.any(np.diff(ids) <= 0):
             raise ValueError("snapshot identifiers must be sorted and distinct")
-        net = cls(space=graph.space, engine=engine)
-        if engine == "scalar":
-            for peer_id in ids.tolist():
-                net.add_peer(peer_id)
-            for i, links in enumerate(graph.long_links):
-                net._peers[float(ids[i])].long_links = [
-                    float(ids[int(j)]) for j in links
-                ]
-            return net
+        net = cls(space=graph.space)
         n = len(ids)
         counts = np.fromiter(
             (len(links) for links in graph.long_links), dtype=np.int64, count=n
@@ -253,7 +233,6 @@ class Network:
         net._ids = ids.copy()
         net._slot_at = np.arange(n, dtype=np.int64)
         net._slot_of = {float(x): i for i, x in enumerate(ids.tolist())}
-        net._slot_id = ids.copy()
         net._link_cnt = counts.copy()
         net._link_tg = np.full((n, width), np.nan)
         if counts.any():
@@ -282,22 +261,12 @@ class Network:
         n = self.n
         if n == 0:
             raise ValueError("cannot snapshot an empty network")
-        ids = self.ids_array().copy()
-        if self.engine == "scalar":
-            counts = np.zeros(n, dtype=np.int64)
-            cols: list[int] = []
-            for i, peer_id in enumerate(self._sorted_ids):
-                for target in self._peers[peer_id].long_links:
-                    if target in self._peers:
-                        cols.append(int(np.searchsorted(ids, target)))
-                        counts[i] += 1
-            flat = np.asarray(cols, dtype=np.int64)
-        else:
-            targets, sources = self._flat_live_links()
-            live = membership_mask(ids, targets)
-            targets, sources = targets[live], sources[live]
-            counts = np.bincount(sources, minlength=n)
-            flat = np.searchsorted(ids, targets).astype(np.int64)
+        ids = self._ids.copy()
+        targets, sources = self._flat_live_links()
+        live = membership_mask(ids, targets)
+        targets, sources = targets[live], sources[live]
+        counts = np.bincount(sources, minlength=n)
+        flat = np.searchsorted(ids, targets).astype(np.int64)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         return SmallWorldGraph.from_flat_links(
@@ -310,40 +279,33 @@ class Network:
     @property
     def n(self) -> int:
         """Number of live peers."""
-        if self.engine == "scalar":
-            return len(self._sorted_ids)
         return len(self._ids)
 
     def __len__(self) -> int:
         return self.n
 
     def __contains__(self, peer_id: float) -> bool:
-        if self.engine == "scalar":
-            return peer_id in self._peers
         return peer_id in self._slot_of
 
     def ids_array(self) -> np.ndarray:
         """Return the live identifiers as a sorted numpy array.
 
-        On the array engine this is the live sorted vector itself —
-        treat it as read-only; mutations replace the vector wholesale,
-        so held references behave as snapshots.
+        This is the live sorted vector itself — treat it as read-only;
+        mutations replace the vector wholesale, so held references behave
+        as snapshots.
         """
-        if self.engine == "scalar":
-            return np.asarray(self._sorted_ids, dtype=float)
         return self._ids
 
-    def peer(self, peer_id: float) -> PeerState | PeerView:
-        """Return the state of a live peer.
+    def peer(self, peer_id: float) -> PeerView:
+        """Return a handle on a live peer's state.
 
         Raises:
             KeyError: if the peer is not live.
         """
-        if self.engine == "scalar":
-            return self._peers[peer_id]
-        return PeerView(self, self._slot_of[peer_id])
+        slot = self._slot_of[peer_id]
+        return PeerView(self, float(peer_id), slot)
 
-    def add_peer(self, peer_id: float) -> PeerState | PeerView:
+    def add_peer(self, peer_id: float) -> PeerView:
         """Insert a peer into the population (low-level splice).
 
         Raises:
@@ -354,23 +316,18 @@ class Network:
         peer_id = float(peer_id)
         if peer_id in self:
             raise ValueError(f"peer {peer_id!r} already present")
-        if self.engine == "scalar":
-            bisect.insort(self._sorted_ids, peer_id)
-            state = PeerState(peer_id=peer_id)
-            self._peers[peer_id] = state
-            return state
-        slot = self._alloc_slots(np.asarray([peer_id]))[0]
+        slot = int(self._alloc_slots(1)[0])
         pos = int(np.searchsorted(self._ids, peer_id))
         self._ids = np.insert(self._ids, pos, peer_id)
         self._slot_at = np.insert(self._slot_at, pos, slot)
-        self._slot_of[peer_id] = int(slot)
-        return PeerView(self, int(slot))
+        self._slot_of[peer_id] = slot
+        return PeerView(self, peer_id, slot)
 
     def remove_peer(self, peer_id: float) -> None:
         """Remove a peer (it departs without notice; links to it dangle).
 
-        On the array engine the departed peer's slab row goes onto the
-        free-list with its link targets still in place — the next repair
+        The departed peer's slab row goes onto the free-list with its
+        link targets still in place — the next repair
         round (:func:`~repro.overlay.bulk_dynamics.bulk_repair`) purges
         them, or row recycling clears them first.  They are invisible to
         every population query either way.
@@ -378,13 +335,6 @@ class Network:
         Raises:
             KeyError: if the peer is not live.
         """
-        if self.engine == "scalar":
-            if peer_id not in self._peers:
-                raise KeyError(f"peer {peer_id!r} not present")
-            idx = bisect.bisect_left(self._sorted_ids, peer_id)
-            del self._sorted_ids[idx]
-            del self._peers[peer_id]
-            return
         peer_id = float(peer_id)
         slot = self._slot_of.pop(peer_id, None)
         if slot is None:
@@ -395,7 +345,7 @@ class Network:
         self._free_slots.append(int(slot))
 
     # ------------------------------------------------------------------
-    # bulk splices (array engine; validated entry points live in
+    # bulk splices (validated entry points live in
     # repro.overlay.bulk_dynamics)
     # ------------------------------------------------------------------
     def _bulk_insert(self, cohort: np.ndarray) -> np.ndarray:
@@ -404,7 +354,7 @@ class Network:
         One merge pass regardless of cohort size — the vectorized form of
         repeated :meth:`add_peer`.
         """
-        slots = self._alloc_slots(cohort)
+        slots = self._alloc_slots(len(cohort))
         pos = np.searchsorted(self._ids, cohort)
         self._ids = np.insert(self._ids, pos, cohort)
         self._slot_at = np.insert(self._slot_at, pos, slots)
@@ -426,7 +376,7 @@ class Network:
             del self._slot_of[peer_id]
 
     # ------------------------------------------------------------------
-    # slab management (array engine)
+    # slab management
     # ------------------------------------------------------------------
     def _ensure_width(self, width: int) -> None:
         """Grow the slab's link columns to hold ``width`` targets per row."""
@@ -455,13 +405,9 @@ class Network:
         link_cnt = np.zeros(new, dtype=np.int64)
         link_cnt[:capacity] = self._link_cnt
         self._link_cnt = link_cnt
-        slot_id = np.full(new, np.nan)
-        slot_id[:capacity] = self._slot_id
-        self._slot_id = slot_id
 
-    def _alloc_slots(self, ids: np.ndarray) -> np.ndarray:
-        """Claim one cleared slab row per entry of ``ids`` (free-list first)."""
-        m = len(ids)
+    def _alloc_slots(self, m: int) -> np.ndarray:
+        """Claim ``m`` cleared slab rows (free-list first)."""
         reused = [self._free_slots.pop() for _ in range(min(len(self._free_slots), m))]
         fresh_n = m - len(reused)
         self._ensure_slots(fresh_n)
@@ -470,7 +416,6 @@ class Network:
         slots = np.fromiter((*reused, *fresh), dtype=np.int64, count=m)
         self._link_cnt[slots] = 0
         self._link_tg[slots, :] = np.nan
-        self._slot_id[slots] = ids
         return slots
 
     def _append_link(self, slot: int, target: float) -> None:
@@ -511,7 +456,6 @@ class Network:
         purged = int(self._link_cnt[slots].sum())
         self._link_cnt[slots] = 0
         self._link_tg[slots, :] = np.nan
-        self._slot_id[slots] = np.nan
         return purged
 
     # ------------------------------------------------------------------
@@ -522,12 +466,8 @@ class Network:
         n = self.n
         if n <= 1:
             return ()
-        if self.engine == "scalar":
-            ids = self._sorted_ids
-            idx = bisect.bisect_left(ids, peer_id)
-        else:
-            ids = self._ids
-            idx = int(np.searchsorted(ids, peer_id))
+        ids = self._ids
+        idx = int(np.searchsorted(ids, peer_id))
         if self.space.is_ring:
             left = float(ids[(idx - 1) % n])
             right = float(ids[(idx + 1) % n])
@@ -547,8 +487,7 @@ class Network:
         """
         if self.n == 0:
             raise ValueError("network has no peers")
-        ids = self.ids_array()
-        return float(ids[nearest_index(ids, key, self.space)])
+        return float(self._ids[nearest_index(self._ids, key, self.space)])
 
     def random_peer(self, rng: np.random.Generator) -> float:
         """Return a uniformly random live peer identifier.
@@ -558,12 +497,10 @@ class Network:
         """
         if self.n == 0:
             raise ValueError("network has no peers")
-        return float(self.ids_array()[int(rng.integers(self.n))])
+        return float(self._ids[int(rng.integers(self.n))])
 
     def _long_targets(self, peer_id: float) -> list[float]:
         """Return one live peer's long-link targets as plain floats."""
-        if self.engine == "scalar":
-            return self._peers[peer_id].long_links
         slot = self._slot_of[peer_id]
         return self._link_tg[slot, : self._link_cnt[slot]].tolist()
 
@@ -573,13 +510,6 @@ class Network:
         Only live peers' links are counted: a departed peer's own stale
         row (lingering on the free-list until repair) is invisible here.
         """
-        if self.engine == "scalar":
-            return sum(
-                1
-                for state in self._peers.values()
-                for target in state.long_links
-                if target not in self._peers
-            )
         if self.n == 0:
             return 0
         targets, _ = self._flat_live_links()
@@ -591,8 +521,6 @@ class Network:
         """Return the mean number of (live or dangling) long links per peer."""
         if self.n == 0:
             return 0.0
-        if self.engine == "scalar":
-            return sum(len(s.long_links) for s in self._peers.values()) / self.n
         return float(self._link_cnt[self._slot_at].mean())
 
     # ------------------------------------------------------------------
@@ -605,9 +533,9 @@ class Network:
 
         Dangling long links are skipped (and counted); ring neighbours
         are always live by construction, so the walk reaches the owner
-        unless the hop budget runs out.  Both engines route identically;
-        batch measurement goes through :meth:`snapshot` plus
-        :func:`repro.core.route_many` instead.
+        unless the hop budget runs out.  Batch measurement goes through
+        :meth:`snapshot` plus :func:`repro.core.route_many` instead, hop
+        for hop identically.
 
         Raises:
             KeyError: if the source peer is not live.
@@ -661,4 +589,4 @@ class Network:
         )
 
     def __repr__(self) -> str:
-        return f"Network(n={self.n}, space={self.space.name!r}, engine={self.engine!r})"
+        return f"Network(n={self.n}, space={self.space.name!r})"

@@ -1,16 +1,17 @@
 """Equivalence and property suite for the bulk live-overlay engine.
 
-Locks the array-backed :class:`Network` and
-:mod:`repro.overlay.bulk_dynamics` down against the scalar reference
-engine:
+Locks the slab-backed :class:`Network` and
+:mod:`repro.overlay.bulk_dynamics` down against the dict-of-PeerState
+reference :class:`oracles.dict_network.DictNetwork` and its per-peer
+loops:
 
-* *exact* parity — the scalar protocols (joins, refresh, scalar routing)
-  driven through both engines with the same seed must leave identical
-  state, and batch-routing a snapshot must match live scalar routing
-  hop for hop;
-* *statistical* parity — bulk cohort bootstrap vs per-peer scalar
-  bootstrap at n=2048, uniform and skewed, compared by KS on degree and
-  link-mass distributions;
+* *exact* parity — the per-peer protocols (joins, refresh, live routing)
+  driven through both storages with the same seed must leave identical
+  state, and batch-routing a snapshot must match live routing hop for
+  hop;
+* *statistical* parity — bulk cohort bootstrap vs per-peer bootstrap on
+  the reference at n=2048, uniform and skewed, compared by KS on degree
+  and link-mass distributions;
 * *invariants* — successor-ring integrity under interleaved join/leave
   storms, dangling accounting, free-list hygiene, and the regression
   that ``dangling_link_count`` returns to 0 after ``bulk_repair``;
@@ -20,6 +21,13 @@ engine:
 import numpy as np
 import pytest
 
+from oracles.dict_network import (
+    DictNetwork,
+    bootstrap_per_peer,
+    join_cohort_per_peer,
+    measure_network_per_peer,
+    run_churn_per_peer,
+)
 from repro.analysis import ks_two_sample
 from repro.core import build_uniform_model, route_many
 from repro.distributions import PowerLaw, Uniform
@@ -60,12 +68,12 @@ def links_of(net, peer_id):
 
 
 class TestEngineExactParity:
-    """The same scalar-protocol op sequence leaves both engines identical."""
+    """The same per-peer op sequence leaves Network and DictNetwork identical."""
 
-    def _drive(self, engine, seed=7):
+    def _drive(self, network_cls, seed=7):
         dist = PowerLaw(alpha=1.5, shift=1e-2)
         rng = np.random.default_rng(seed)
-        net = Network(engine=engine)
+        net = network_cls()
         for _ in range(150):
             peer_id = float(dist.sample(1, rng)[0])
             while peer_id in net:
@@ -77,8 +85,8 @@ class TestEngineExactParity:
         return net
 
     def test_identical_state_after_same_ops(self):
-        array_net = self._drive("array")
-        scalar_net = self._drive("scalar")
+        array_net = self._drive(Network)
+        scalar_net = self._drive(DictNetwork)
         assert np.array_equal(array_net.ids_array(), scalar_net.ids_array())
         for peer_id in scalar_net.ids_array().tolist():
             assert links_of(array_net, peer_id) == links_of(scalar_net, peer_id)
@@ -86,8 +94,8 @@ class TestEngineExactParity:
         assert array_net.mean_long_degree() == scalar_net.mean_long_degree()
 
     def test_identical_routes_after_same_ops(self):
-        array_net = self._drive("array")
-        scalar_net = self._drive("scalar")
+        array_net = self._drive(Network)
+        scalar_net = self._drive(DictNetwork)
         rng = np.random.default_rng(9)
         for _ in range(40):
             source = array_net.random_peer(rng)
@@ -139,13 +147,21 @@ class TestBulkJoin:
                 assert abs(target - peer_id) >= cutoff
 
     def test_scalar_engine_fallback_is_reference_join(self):
+        """The per-peer cohort join on the reference is join_known_f per member."""
         dist = Uniform()
-        net = Network(engine="scalar")
-        rng = np.random.default_rng(4)
-        seed_ids = dist.sample(64, rng)
-        bulk_join(net, seed_ids, dist, rng)
-        assert net.n == 64
-        assert isinstance(net.peer(float(seed_ids[0])).long_links, list)
+        seed_ids = dist.sample(64, np.random.default_rng(4))
+        ref = DictNetwork()
+        installed = join_cohort_per_peer(ref, seed_ids, dist, np.random.default_rng(5))
+        net = Network()
+        rng = np.random.default_rng(5)
+        for peer_id in seed_ids.tolist():
+            join_known_f(net, dist, rng, peer_id=peer_id, out_degree=6, cutoff=1 / 64)
+        assert ref.n == net.n == 64
+        assert np.array_equal(ref.ids_array(), net.ids_array())
+        for peer_id in seed_ids.tolist():
+            assert links_of(ref, peer_id) == links_of(net, peer_id)
+            assert isinstance(ref.peer(peer_id).long_links, list)
+        assert installed == round(net.mean_long_degree() * net.n)
 
     def test_rejects_bad_cohorts(self, rng):
         net = bulk_bootstrap(Uniform(), 32, rng)
@@ -192,9 +208,7 @@ class TestStatisticalEquivalence:
     )
     def test_bootstrap_degree_and_mass_distributions(self, dist):
         n = 2048
-        scalar_net, _ = bootstrap_network(
-            dist, n, np.random.default_rng(11), engine="scalar"
-        )
+        scalar_net = bootstrap_per_peer(dist, n, np.random.default_rng(11))
         bulk_net = bulk_bootstrap(dist, n, np.random.default_rng(12))
         ks_deg = ks_two_sample(degrees_of(scalar_net), degrees_of(bulk_net))
         assert ks_deg.p_value > 0.01, (ks_deg.statistic, ks_deg.p_value)
@@ -208,18 +222,18 @@ class TestStatisticalEquivalence:
         assert ks_mass.p_value > 0.01, (ks_mass.statistic, ks_mass.p_value)
 
     def test_churned_networks_stay_equivalent(self):
-        """After identical churn schedules, engines stay statistically close."""
+        """After identical churn schedules, per-peer and bulk stay statistically close."""
         dist = Uniform()
         config = ChurnConfig(epochs=3, lookups_per_epoch=20)
-        scalar_net, _ = bootstrap_network(
-            dist, 512, np.random.default_rng(21), engine="scalar"
-        )
+        scalar_net = bootstrap_per_peer(dist, 512, np.random.default_rng(21))
         bulk_net = bulk_bootstrap(dist, 512, np.random.default_rng(22))
-        run_churn(scalar_net, dist, config, np.random.default_rng(23))
+        run_churn_per_peer(scalar_net, dist, config, np.random.default_rng(23))
         run_churn(bulk_net, dist, config, np.random.default_rng(24))
         ks = ks_two_sample(degrees_of(scalar_net), degrees_of(bulk_net))
         assert ks.p_value > 0.01, (ks.statistic, ks.p_value)
-        hops_s = measure_network(scalar_net, 300, np.random.default_rng(25)).mean_hops
+        hops_s = measure_network_per_peer(
+            scalar_net, 300, np.random.default_rng(25)
+        ).mean_hops
         hops_b = measure_network(bulk_net, 300, np.random.default_rng(26)).mean_hops
         assert abs(hops_s - hops_b) < 0.25 * max(hops_s, hops_b)
 
@@ -240,7 +254,7 @@ class TestStormIntegrity:
             # Sorted, distinct, and every index structure agrees.
             assert np.all(np.diff(live) > 0)
             assert len(net._slot_of) == len(live)
-            assert np.array_equal(net._slot_id[net._slot_at], live)
+            assert [net._slot_of[p] for p in live.tolist()] == net._slot_at.tolist()
             # Successor-ring: the splice maintains immediate neighbours.
             for pos in (0, len(live) // 2, len(live) - 1):
                 peer_id = float(live[pos])
@@ -310,11 +324,6 @@ class TestBulkRepair:
         report = bulk_repair(net, rng, distribution=None, sample_size=64)
         assert net.dangling_link_count() == 0
         assert report.links_installed > 0
-
-    def test_scalar_engine_raises(self, rng):
-        net, _ = bootstrap_network(Uniform(), 16, rng, engine="scalar")
-        with pytest.raises(ValueError):
-            bulk_repair(net, rng, distribution=Uniform())
 
     def test_maintenance_round_dispatches_to_bulk(self, rng):
         net = bulk_bootstrap(Uniform(), 64, rng)
@@ -400,16 +409,9 @@ class TestFromGraphAndSnapshot:
         for a, b in zip(snap.long_links, graph.long_links):
             assert np.array_equal(np.sort(a), np.sort(np.asarray(b)))
 
-    def test_from_graph_scalar_engine(self, rng):
-        graph = build_uniform_model(n=64, rng=rng)
-        net = Network.from_graph(graph, engine="scalar")
-        assert net.engine == "scalar"
-        assert net.n == 64
-        assert net.dangling_link_count() == 0
-        assert net.mean_long_degree() == pytest.approx(
-            graph.total_long_links() / graph.n
-        )
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            Network(engine="quantum")
+    def test_from_graph_rejects_non_array_engine(self, rng):
+        graph = build_uniform_model(n=16, rng=rng)
+        assert Network.from_graph(graph, engine="array").n == 16
+        for engine in ("scalar", "quantum"):
+            with pytest.raises(ValueError, match="only 'array'"):
+                Network.from_graph(graph, engine=engine)

@@ -1,20 +1,22 @@
 """Unit tests for the live Network overlay.
 
-The ``small_net`` fixture runs every behavioural test on both storage
-engines — the array slab (default) and the scalar dict-of-PeerState
-reference — so the two cannot drift.
+The ``small_net`` fixture runs every behavioural test on the slab-backed
+:class:`Network` ("array") and on the dict-of-PeerState reference
+:class:`oracles.dict_network.DictNetwork` ("scalar"), so the two cannot
+drift.
 """
 
 import numpy as np
 import pytest
 
+from oracles.dict_network import DictNetwork
 from repro.keyspace import RingSpace
 from repro.overlay import Network
 
 
-@pytest.fixture(params=["array", "scalar"])
+@pytest.fixture(params=[Network, DictNetwork], ids=["array", "scalar"])
 def small_net(request):
-    net = Network(engine=request.param)
+    net = request.param()
     for peer_id in (0.1, 0.3, 0.5, 0.7, 0.9):
         net.add_peer(peer_id)
     return net
@@ -121,3 +123,49 @@ class TestRouting:
     def test_mean_long_degree(self, small_net):
         small_net.peer(0.1).long_links.extend([0.7, 0.9])
         assert small_net.mean_long_degree() == pytest.approx(2 / 5)
+
+
+class TestStaleHandles:
+    """A handle kept past its peer's departure never reaches a recycled row."""
+
+    def _recycled(self):
+        net = Network()
+        for peer_id in (0.1, 0.3, 0.5):
+            net.add_peer(peer_id)
+        view = net.peer(0.3)
+        row = view.long_links
+        net.remove_peer(0.3)
+        net.add_peer(0.7)  # takes over 0.3's freed slab row
+        return net, view, row
+
+    def test_stale_peer_view_does_not_write_into_joiner(self):
+        net, view, _ = self._recycled()
+        with pytest.raises(KeyError):
+            view.long_links = [0.1, 0.5]
+        with pytest.raises(KeyError):
+            view.long_links.append(0.1)
+        assert view.peer_id == 0.3
+        assert list(net.peer(0.7).long_links) == []
+        assert "departed" in repr(view)
+
+    def test_stale_link_row_view_raises(self):
+        net, _, row = self._recycled()
+        for access in (
+            lambda: len(row),
+            lambda: list(row),
+            lambda: 0.1 in row,
+            row.tolist,
+            row.clear,
+            lambda: row.extend([0.1]),
+        ):
+            with pytest.raises(KeyError):
+                access()
+        assert list(net.peer(0.7).long_links) == []
+
+    def test_handle_raises_right_after_departure(self):
+        net = Network()
+        net.add_peer(0.3)
+        view = net.add_peer(0.6)
+        net.remove_peer(0.6)
+        with pytest.raises(KeyError):
+            view.long_links = [0.3]
