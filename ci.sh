@@ -15,6 +15,8 @@ else
   echo "== ruff not installed; skipping lint =="
 fi
 
+echo "== src/ size: $(find src -name '*.py' -exec cat {} + | wc -l) lines =="
+
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
@@ -40,7 +42,7 @@ if [[ "${1:-}" != "--no-smoke" ]]; then
   echo "== telemetry smoke (<=5% enabled overhead + shard-merge bit-identity) =="
   python -m pytest benchmarks/bench_telemetry.py -q -s
 
-  echo "== kernel smoke (ragged-vs-padded parity + >=1.5x gate on skewed degrees) =="
+  echo "== frontier kernel smoke (dense-oracle parity + >=1.5x gate on skewed degrees, >=0.95x on uniform) =="
   python -m pytest benchmarks/bench_kernel.py -q -s
 
   echo "== serving smoke (stream-vs-batch parity + sustained-throughput gate at 1e6) =="

@@ -117,7 +117,6 @@ def route_many(
     max_hops: int | None = None,
     record_paths: bool = False,
     workers: int | None = None,
-    kernel: str = "auto",
 ) -> BatchRouteResult:
     """Route every ``(source, target_key)`` pair greedily, in lock-step.
 
@@ -142,10 +141,6 @@ def route_many(
             ``--workers`` flag / ``REPRO_WORKERS``), which is serial
             unless explicitly raised.  Small batches stay serial even
             with workers configured (dispatch overhead would dominate).
-        kernel: frontier round layout — ``"auto"`` (the default; picks
-            flat-segmented or dense per round by fill ratio),
-            ``"ragged"`` or ``"padded"``; bit-identical outcomes, see
-            :mod:`repro.core.metric_routing`.
 
     Raises:
         ValueError: on mismatched inputs, an invalid metric, an
@@ -166,7 +161,6 @@ def route_many(
             max_hops=max_hops,
             record_paths=record_paths,
             workers=workers,
-            kernel=kernel,
         )
     return frontier_route_many(
         graph.adjacency,
@@ -176,7 +170,6 @@ def route_many(
         alive=alive,
         max_hops=max_hops,
         record_paths=record_paths,
-        kernel=kernel,
     )
 
 
@@ -359,7 +352,6 @@ def sample_batch(
     max_hops: int | None = None,
     record_paths: bool = False,
     workers: int | None = None,
-    kernel: str = "auto",
 ) -> BatchRouteResult:
     """Draw ``n_routes`` random live source/target pairs and batch-route them.
 
@@ -385,7 +377,6 @@ def sample_batch(
         record_paths: record visited-node lists (see :func:`route_many`).
         workers: worker-process sharding, as in :func:`route_many` (the
             workload draw itself always happens here, in one rng state).
-        kernel: frontier round layout, as in :func:`route_many`.
 
     Raises:
         ValueError: for an unknown ``targets`` mode or no live peers.
@@ -423,5 +414,4 @@ def sample_batch(
         max_hops=max_hops,
         record_paths=record_paths,
         workers=workers,
-        kernel=kernel,
     )

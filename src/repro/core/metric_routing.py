@@ -24,30 +24,18 @@ recording — while the *routing rule* is a declarative
    ``terminal_owner_hop`` grants the Chord-style final hop onto an
    owner candidate).
 
-Two interchangeable gather/score layouts implement step 1–3, selected
-per frontier with ``kernel=``:
-
-* ``"ragged"`` — the **segmented flat-CSR kernel**: every
-  active walk's adjacency row is gathered into one concatenated
-  candidate vector (no padding, no masking), scored flat through
-  :meth:`RoutingMetric.candidate_scores_flat`, and resolved per walk
-  with segmented reductions (``np.minimum.reduceat`` plus a flat
-  first-occurrence tie-break that reproduces the padded kernel's
-  first-best-lane choice exactly; degree-uniform frontiers take an
-  exact-width 2-d ``argmin`` instead).  Cost per round is proportional
-  to the frontier's *total* degree, so one hub row no longer inflates
-  the whole cohort.
-* ``"padded"`` — the original dense ``(walks, max_degree)`` lane-matrix
-  layout through :meth:`RoutingMetric.candidate_scores` (exactly as
-  :func:`repro.core.batch_routing.route_many` always did).  Kept as the
-  semantic reference and escape hatch; both kernels are gated
-  bit-identical on every outcome column including recorded paths.
-* ``"auto"`` (the default) — chooses per round: the ragged layout when
-  real candidates fill less than half the dense lane matrix (skewed
-  degrees, where padding waste dominates), the padded layout when the
-  frontier is near-degree-uniform (where row broadcasts beat the flat
-  layout's explicit gathers).  Because the two layouts are
-  bit-identical, the choice is purely a throughput heuristic.
+Steps 1–3 score padded ``(walks, width)`` lane blocks through the one
+:meth:`RoutingMetric.candidate_scores`.  When real candidates fill at
+least half of the round's ``frontier × max_degree`` lane matrix, the
+round is one block.  Otherwise one hub row would make every walk pay
+hub-width scoring, so the round groups its walks by
+``ceil(log2(degree))`` and scores each power-of-two degree bucket as its
+own block, at most half padding by construction; walks with no edges
+never reach the metric.  Each walk's best score, candidate and CSR slot
+are scattered back into frontier order before one shared retirement
+step, so the split changes no outcome: per-candidate scores are
+elementwise, and trailing padded lanes (``inf``) never win the
+first-minimum ``argmin``.
 
 The shipped metric families cover every baseline routing rule the paper
 compares against:
@@ -95,7 +83,6 @@ __all__ = [
     "BatchRouteResult",
     "RoutingMetric",
     "PreparedTargets",
-    "Segments",
     "GreedyValueMetric",
     "ClockwiseMetric",
     "PrefixDigitMetric",
@@ -125,14 +112,6 @@ _PRIMARY_SCORE = -1e9
 #: Shared immutable empty retirement cohort (never written through).
 _EMPTY_SLOTS = np.empty(0, dtype=np.int64)
 
-#: ``kernel="auto"`` rounds take the flat segmented layout when real
-#: candidates fill less than this fraction of the dense lane matrix.
-#: Above it, degrees are near-uniform enough that the padded layout's
-#: row broadcasts beat the flat layout's explicit per-candidate gathers
-#: (measured breakeven ~0.65 on the Pastry comparator; 0.5 keeps a
-#: margin on either side).
-_AUTO_FILL_CUTOFF = 0.5
-
 
 @dataclass
 class BatchRouteResult:
@@ -157,11 +136,11 @@ class BatchRouteResult:
         rounds: frontier rounds the batch took (0 when unknown, e.g.
             results assembled outside :func:`frontier_route_many`).
         candidates_seen: real candidates gathered across those rounds.
-        padded_slots_seen: dense ``frontier × max_degree`` slots the
-            padded layout would have paid for the same rounds.  The
-            three stats are per-route-order-independent totals, so the
-            sharded dispatcher sums them across shards without breaking
-            the bit-identity contract.
+        padded_slots_seen: dense ``frontier × max_degree`` slots of
+            those rounds' full lane matrices.  The three stats are
+            per-route-order-independent totals, so the sharded
+            dispatcher sums them across shards without breaking the
+            bit-identity contract.
     """
 
     success: np.ndarray
@@ -244,30 +223,6 @@ class PreparedTargets:
     extra: object = None
 
 
-@dataclass
-class Segments:
-    """Per-walk segment layout of one flat candidate vector.
-
-    The ragged kernel concatenates every frontier walk's (live) adjacency
-    row into one flat vector; ``Segments`` describes how that vector
-    partitions back into walks.  Segment ``i`` holds walk ``i``'s
-    candidates at flat positions ``starts[i] : starts[i] + counts[i]``.
-    Every segment is non-empty — walks with no (live) candidates are
-    filtered out before scoring and retire as stuck without ever
-    reaching the metric.
-
-    Attributes:
-        starts: ``(w,)`` flat offset of each walk's first candidate.
-        counts: ``(w,)`` number of candidates per walk (all ``>= 1``).
-        rows: ``(total,)`` walk-row index of each flat candidate — the
-            inverse map, ``rows[starts[i]:starts[i]+counts[i]] == i``.
-    """
-
-    starts: np.ndarray
-    counts: np.ndarray
-    rows: np.ndarray
-
-
 class RoutingMetric(ABC):
     """Declarative routing rule consumed by :func:`frontier_route_many`.
 
@@ -330,49 +285,6 @@ class RoutingMetric(ABC):
             current: ``(w,)`` current node of each frontier walk.
         """
 
-    def candidate_scores_flat(
-        self,
-        candidates: np.ndarray,
-        slots: np.ndarray,
-        segments: Segments,
-        state: PreparedTargets,
-        walks: np.ndarray,
-        current: np.ndarray,
-    ) -> np.ndarray:
-        """Score one flat candidate vector for the ragged kernel.
-
-        Unlike :meth:`candidate_scores` there is no ``usable`` mask: the
-        kernel pre-filters the flat vector to real, live edges, so every
-        element is scorable (``inf`` still marks rule-ineligibility).
-        Scores must be bitwise-identical to the padded path's scores for
-        the same edges — the shipped metrics achieve this by running the
-        same elementwise expressions over the flat layout.
-
-        This default adapter re-pads the flat vector into a dense block
-        and delegates to :meth:`candidate_scores`, so third-party metrics
-        written against the padded contract work under either kernel.
-
-        Args:
-            candidates: ``(total,)`` candidate node indices.
-            slots: ``(total,)`` CSR edge positions of the candidates.
-            segments: the per-walk :class:`Segments` layout.
-            walks: ``(w,)`` route indices of the scored sub-frontier.
-            current: ``(w,)`` current node of each scored walk.
-        """
-        counts = segments.counts
-        w = len(counts)
-        width = int(counts.max())
-        lanes = np.arange(width)
-        valid = lanes[None, :] < counts[:, None]
-        pad_candidates = np.zeros((w, width), dtype=candidates.dtype)
-        pad_candidates[valid] = candidates
-        pad_slots = np.zeros((w, width), dtype=np.asarray(slots).dtype)
-        pad_slots[valid] = slots
-        scores = self.candidate_scores(
-            pad_candidates, pad_slots, valid, state, walks, current
-        )
-        return np.asarray(scores, dtype=float)[valid]
-
     @staticmethod
     def _no_alive(alive: np.ndarray | None) -> None:
         if alive is not None:
@@ -420,11 +332,6 @@ class GreedyValueMetric(RoutingMetric):
     def candidate_scores(self, candidates, slots, usable, state, walks, current):
         return self.space.pairwise_distances(
             self.positions[candidates], state.targets[walks][:, None]
-        )
-
-    def candidate_scores_flat(self, candidates, slots, segments, state, walks, current):
-        return self.space.pairwise_distances(
-            self.positions[candidates], state.targets[walks][segments.rows]
         )
 
 
@@ -479,11 +386,6 @@ class ClockwiseMetric(RoutingMetric):
 
     def candidate_scores(self, candidates, slots, usable, state, walks, current):
         return (state.targets[walks][:, None] - self.positions[candidates]) % 1.0
-
-    def candidate_scores_flat(self, candidates, slots, segments, state, walks, current):
-        return (
-            state.targets[walks][segments.rows] - self.positions[candidates]
-        ) % 1.0
 
 
 class PrefixDigitMetric(RoutingMetric):
@@ -583,43 +485,6 @@ class PrefixDigitMetric(RoutingMetric):
             scores[rows] = np.where(eligible, cand_dist - cand_l, np.inf)
         return scores
 
-    def candidate_scores_flat(self, candidates, slots, segments, state, walks, current):
-        key_digits = state.extra[walks]
-        cpl_cur = self._cpl_current(current, key_digits)
-        wanted_digit = key_digits[
-            np.arange(len(walks)), np.minimum(cpl_cur, self.depth - 1)
-        ]
-        rows = segments.rows
-        primary = (
-            (cpl_cur[rows] < self.depth)
-            & (self.tag_level[slots] == cpl_cur[rows])
-            & (self.tag_digit[slots] == wanted_digit[rows])
-        )
-        scores = np.where(primary, _PRIMARY_SCORE, np.inf)
-        # Fallback scan only for the walks the primary rule cannot serve,
-        # selected flat: a segmented any over the primary hits, expanded
-        # back through ``rows`` to pick those walks' candidates.
-        need = ~np.bitwise_or.reduceat(primary, segments.starts)
-        if need.any():
-            sel = need[rows]
-            rsel = rows[sel]
-            cand = candidates[sel]
-            targets_sel = state.targets[walks[rsel]]
-            # The current-peer distance is evaluated per selected
-            # candidate (same operands as the padded kernel's per-row
-            # value, so bitwise-equal) — never for the whole frontier.
-            cur_dist = self._space.pairwise_distances(
-                self.positions[current[rsel]], targets_sel
-            )
-            cand_dist = self._space.pairwise_distances(
-                self.positions[cand], targets_sel
-            )
-            neq = self.digits[cand] != key_digits[rsel]
-            cand_l = np.where(neq.any(axis=1), neq.argmax(axis=1), self.depth)
-            eligible = (cand_dist < cur_dist) & (cand_l >= cpl_cur[rsel])
-            scores[sel] = np.where(eligible, cand_dist - cand_l, np.inf)
-        return scores
-
 
 class TrieMetric(RoutingMetric):
     """P-Grid's rule: resolve one differing bit, else step in value order.
@@ -686,18 +551,6 @@ class TrieMetric(RoutingMetric):
             state.targets[walks] > self.positions[current], current + 1, current - 1
         )
         fallback = usable & (self.tag_level[slots] == -1) & (candidates == want[:, None])
-        return np.where(primary, _PRIMARY_SCORE, np.where(fallback, 0.0, np.inf))
-
-    def candidate_scores_flat(self, candidates, slots, segments, state, walks, current):
-        key_bits = state.extra[walks]
-        neq = self.bits[current] != key_bits
-        cpl = np.where(neq.any(axis=1), neq.argmax(axis=1), self.max_depth)
-        rows = segments.rows
-        primary = (self.tag_level[slots] == cpl[rows]) & (self.tag_rank[slots] == 0)
-        want = np.where(
-            state.targets[walks] > self.positions[current], current + 1, current - 1
-        )
-        fallback = (self.tag_level[slots] == -1) & (candidates == want[rows])
         return np.where(primary, _PRIMARY_SCORE, np.where(fallback, 0.0, np.inf))
 
 
@@ -792,8 +645,12 @@ class TorusZoneMetric(RoutingMetric):
     def _zone_distances(self, points: np.ndarray, zones: np.ndarray) -> np.ndarray:
         """L1 torus distance from each point to each zone box.
 
-        Mirrors the scalar :meth:`CANOverlay._axis_distance` expression
-        per dimension, accumulated in dimension order.
+        Bit-identical to the scalar :meth:`CANOverlay._axis_distance`
+        per dimension, accumulated in dimension order.  On the unit
+        torus every ``d = x - lo`` or ``x - hi`` has ``|d| <= 1``, where
+        the scalar's wrapped terms ``min(|d + 1|, |d - 1|)`` equal
+        ``1 - |d|`` exactly in IEEE arithmetic, so the four wrapped
+        terms collapse to ``1 - max(|x - lo|, |x - hi|)``.
         """
         total = np.zeros(zones.shape)
         for k in range(self.dims):
@@ -802,12 +659,10 @@ class TorusZoneMetric(RoutingMetric):
             lo = self.lo[zones, k]
             hi = self.hi[zones, k]
             inside = (lo <= x) & (x < hi)
-            direct = np.minimum(np.abs(x - lo), np.abs(x - hi))
-            wrapped = np.minimum(
-                np.minimum(np.abs(x - lo + 1.0), np.abs(x - lo - 1.0)),
-                np.minimum(np.abs(x - hi + 1.0), np.abs(x - hi - 1.0)),
-            )
-            total = total + np.where(inside, 0.0, np.minimum(direct, wrapped))
+            a = np.abs(x - lo)
+            b = np.abs(x - hi)
+            gap = np.minimum(np.minimum(a, b), 1.0 - np.maximum(a, b))
+            total = total + np.where(inside, 0.0, gap)
         return total
 
     def initial_scores(self, nodes, state):
@@ -815,13 +670,6 @@ class TorusZoneMetric(RoutingMetric):
 
     def candidate_scores(self, candidates, slots, usable, state, walks, current):
         return self._zone_distances(state.targets[walks], candidates)
-
-    def candidate_scores_flat(self, candidates, slots, segments, state, walks, current):
-        # _zone_distances broadcasts per-dimension; flat 1-d zones take
-        # the same elementwise expressions without the lane axis.
-        return self._zone_distances(
-            state.targets[walks][segments.rows], candidates
-        )
 
 
 class LatticeMetric(RoutingMetric):
@@ -855,9 +703,6 @@ class LatticeMetric(RoutingMetric):
     def candidate_scores(self, candidates, slots, usable, state, walks, current):
         return self._index_distance(candidates, state.owners[walks][:, None])
 
-    def candidate_scores_flat(self, candidates, slots, segments, state, walks, current):
-        return self._index_distance(candidates, state.owners[walks][segments.rows])
-
 
 class StreamFrontier:
     """Resident routing frontier: walks join and leave continuously.
@@ -885,15 +730,12 @@ class StreamFrontier:
     no slot has been released (a reused slot would splice two walks'
     paths together), which the batch driver satisfies by construction.
 
-    ``kernel`` selects the round layout — ``"auto"`` (the default)
-    picks per round: the segmented flat-CSR layout when the round is
-    padding-heavy (fill below :data:`_AUTO_FILL_CUTOFF`), the dense
-    lane matrix when degrees are near-uniform and broadcasting beats
-    gathering.  ``"ragged"`` / ``"padded"`` force one layout; see the
-    module docstring.  All three produce bit-identical walk outcomes;
-    the frontier tracks :attr:`candidates_seen` /
-    :attr:`padded_slots_seen` so :attr:`fill_ratio` reports how much
-    padding the ragged layout avoids.
+    Each round is one padded lane block, or one block per power-of-two
+    degree bucket when real candidates fill less than half of the
+    round's ``frontier × max_degree`` lane matrix (see the module
+    docstring).  The frontier tracks :attr:`candidates_seen` /
+    :attr:`padded_slots_seen`, whose ratio :attr:`fill_ratio` measures
+    the degree skew the buckets absorb.
     """
 
     def __init__(
@@ -904,35 +746,29 @@ class StreamFrontier:
         max_hops: int | None = None,
         record_paths: bool = False,
         capacity: int = 1024,
-        kernel: str = "auto",
     ):
-        if kernel not in ("auto", "ragged", "padded"):
-            raise ValueError(
-                f"unknown frontier kernel {kernel!r}; "
-                "expected 'auto', 'ragged' or 'padded'"
-            )
         self.csr = csr
         self.metric = metric
         self.alive = None if alive is None else np.asarray(alive, dtype=bool)
         self.max_hops = csr.n if max_hops is None else max_hops
         self.record_paths = record_paths
-        self.kernel = kernel
         self.rounds = 0
         self.active_count = 0
         #: Real (pre-liveness) candidates gathered across all rounds, and
-        #: the dense ``frontier × max_degree`` slot count the padded
-        #: layout pays for the same rounds — the padding-waste observables.
+        #: the slot count of the same rounds' full ``frontier ×
+        #: max_degree`` lane matrices — the degree-skew observables.
         self.candidates_seen = 0
         self.padded_slots_seen = 0
-        #: What the most recent round did: which kernel scored it and how
-        #: many real candidates / padded slots it gathered.  Read by the
-        #: per-round trace and by the flight recorder's replay driver.
-        self.last_round_kernel = "none"
+        #: What the most recent round did: how many padded blocks it
+        #: scored and how many real candidates / full-matrix slots it
+        #: gathered.  Read by the per-round trace and by the flight
+        #: recorder's replays.
+        self.last_round_blocks = 0
         self.last_round_candidates = 0
         self.last_round_padded_slots = 0
         # Reused per-round scratch: one growable arange buffer serves as
-        # both the lane ramp and the flat-position ramp (its contents are
-        # never mutated, so multiple live views stay valid across growth),
+        # both the lane ramp and the row ramp (its contents are never
+        # mutated, so multiple live views stay valid across growth),
         # int32-narrowed when every index this frontier produces fits.
         self._idx_dtype = (
             np.int32 if (csr.n < 2**31 and csr.n_edges < 2**31) else np.int64
@@ -966,7 +802,7 @@ class StreamFrontier:
 
     @property
     def fill_ratio(self) -> float:
-        """Real-candidate fraction of the padded layout's slot budget.
+        """Real-candidate fraction of the full lane matrices' slots.
 
         ``candidates_seen / padded_slots_seen`` over every round stepped
         so far; 1.0 means the frontier was degree-uniform (padding-free)
@@ -1134,14 +970,16 @@ class StreamFrontier:
 
         One kernel round, in the batch loop's exact order: hop-budget
         check, candidate gather, metric scoring, argmin move with the
-        metric's improve/terminal rules, arrival/stuck retirement.
+        metric's improve/terminal rules, then retirement — budget-spent
+        walks first, then stuck walks, then arrivals, each cohort in
+        frontier order (the order the P² hop estimator observes).
         """
         frontier = np.flatnonzero(self.active)
         if frontier.size == 0:
             return frontier
         self.rounds += 1
         entered = int(frontier.size)
-        self.last_round_kernel = "none"
+        self.last_round_blocks = 0
         self.last_round_candidates = 0
         self.last_round_padded_slots = 0
         retired: list[np.ndarray] = []
@@ -1160,7 +998,7 @@ class StreamFrontier:
                 "routing.round",
                 round=self.rounds,
                 active=entered,
-                kernel=self.last_round_kernel,
+                blocks=self.last_round_blocks,
                 candidates=self.last_round_candidates,
                 padded_slots=self.last_round_padded_slots,
             )
@@ -1207,46 +1045,68 @@ class StreamFrontier:
             telemetry.count("routing.frontier.candidates", n_candidates)
             telemetry.count("routing.frontier.padded_slots", padded_slots)
         if max_degree == 0:
-            self.last_round_kernel = "stuck"
             self.reason_codes[frontier] = REASON_STUCK
             self.active[frontier] = False
             return [frontier]
-        if self.kernel == "ragged" or (
-            self.kernel == "auto"
-            and n_candidates < _AUTO_FILL_CUTOFF * padded_slots
-        ):
-            self.last_round_kernel = "ragged"
-            return self._advance_ragged(frontier, cur, starts, degrees)
-        self.last_round_kernel = "padded"
-        return self._advance_padded(frontier, cur, starts, degrees, max_degree)
+        if 2 * n_candidates >= padded_slots:
+            self.last_round_blocks = 1
+            return self._retire(
+                frontier,
+                *self._score_block(frontier, cur, starts, degrees, max_degree),
+            )
+        # Padding-heavy round: one block per power-of-two degree bucket,
+        # each at least half full.  Walks with no edges stay unscored
+        # (improves False) and retire as stuck.
+        w = frontier.size
+        improves = np.zeros(w, dtype=bool)
+        score = np.empty(w)
+        chosen = np.empty(w, dtype=np.int64)
+        slot = np.empty(w, dtype=np.int64)
+        bucket = np.frexp(degrees - 1)[1]  # ceil(log2(degree)) for degree >= 1
+        bucket[degrees == 0] = -1
+        for b in np.flatnonzero(np.bincount(bucket + 1)[1:]):
+            rows = np.flatnonzero(bucket == b)
+            self.last_round_blocks += 1
+            block_degrees = degrees[rows]
+            moves, best, node, at = self._score_block(
+                frontier[rows], cur[rows], starts[rows], block_degrees,
+                int(block_degrees.max()),
+            )
+            improves[rows] = moves
+            movers = rows[moves]
+            score[movers] = best
+            chosen[movers] = node
+            slot[movers] = at
+        return self._retire(
+            frontier, improves, score[improves], chosen[improves], slot[improves]
+        )
 
-    def _advance_padded(
+    def _score_block(
         self,
-        frontier: np.ndarray,
+        walks: np.ndarray,
         cur: np.ndarray,
         starts: np.ndarray,
         degrees: np.ndarray,
-        max_degree: int,
-    ) -> list[np.ndarray]:
-        """Dense ``(frontier, max_degree)`` lane-matrix round.
+        width: int,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Score one dense ``(walks, width)`` lane block; pick each move.
 
-        The original kernel layout, kept as the semantic reference and
-        escape hatch; the ragged kernel reproduces its outcomes bit for
-        bit.
+        Returns whether each walk moves and, for the moving walks in
+        block order, the score, candidate node and CSR slot of the
+        chosen lane — the first best lane, or for a non-improving walk
+        under ``terminal_owner_hop`` its first owner lane.
         """
-        indices, is_long = self.csr.indices, self.csr.is_long
-        retired: list[np.ndarray] = []
-        lanes = self._ramp(max_degree)
-        uniform = int(degrees.min()) == max_degree
+        lanes = self._ramp(width)
+        uniform = int(degrees.min()) == width
         if uniform:
-            # Degree-uniform frontier: every lane is real, so skip the
+            # Degree-uniform block: every lane is real, so skip the
             # validity mask and the np.where slot clamp entirely.
             slots = starts[:, None] + lanes[None, :]
             valid = np.broadcast_to(np.True_, slots.shape)
         else:
             valid = lanes[None, :] < degrees[:, None]
             slots = np.where(valid, starts[:, None] + lanes[None, :], 0)
-        candidates = indices[slots]
+        candidates = self.csr.indices[slots]
         usable = valid
         all_usable = uniform
         if self.alive is not None:
@@ -1254,7 +1114,7 @@ class StreamFrontier:
             all_usable = False
 
         scores = self.metric.candidate_scores(
-            candidates, slots, usable, self._state, frontier, cur
+            candidates, slots, usable, self._state, walks, cur
         )
         if all_usable:
             # Masking against an all-True block is the identity; just
@@ -1263,19 +1123,43 @@ class StreamFrontier:
         else:
             scores = np.where(usable, scores, np.inf)
 
-        rows = self._ramp(frontier.size)
-        best_lane = np.argmin(scores, axis=1)
-        improves = scores[rows, best_lane] < self.current_score[frontier]
+        rows = self._ramp(walks.size)
+        lane = np.argmin(scores, axis=1)
+        improves = scores[rows, lane] < self.current_score[walks]
 
         if self.metric.terminal_owner_hop and not improves.all():
             # Chord's final hop: a walk with no improving candidate may
             # still step onto a candidate that IS its key's owner.
-            owner_mask = usable & (candidates == self.owners[frontier][:, None])
+            owner_mask = usable & (candidates == self.owners[walks][:, None])
             terminal = ~improves & owner_mask.any(axis=1)
             if terminal.any():
-                best_lane = np.where(terminal, owner_mask.argmax(axis=1), best_lane)
+                lane = np.where(terminal, owner_mask.argmax(axis=1), lane)
                 improves = improves | terminal
+        move_rows = rows[improves]
+        move_lanes = lane[improves]
+        return (
+            improves,
+            scores[move_rows, move_lanes],
+            candidates[move_rows, move_lanes],
+            slots[move_rows, move_lanes],
+        )
 
+    def _retire(
+        self,
+        frontier: np.ndarray,
+        improves: np.ndarray,
+        score: np.ndarray,
+        chosen: np.ndarray,
+        slot: np.ndarray,
+    ) -> list[np.ndarray]:
+        """Apply one round's moves in frontier order; return retirements.
+
+        ``score``, ``chosen`` and ``slot`` are aligned with the moving
+        walks ``frontier[improves]``.  Stuck walks retire before
+        arrivals, each cohort in frontier order, whether the round was
+        scored as one block or several.
+        """
+        retired: list[np.ndarray] = []
         stuck = frontier[~improves]
         if stuck.size:
             self.reason_codes[stuck] = REASON_STUCK
@@ -1284,160 +1168,10 @@ class StreamFrontier:
 
         movers = frontier[improves]
         if movers.size:
-            move_rows = rows[improves]
-            move_lanes = best_lane[improves]
-            chosen = candidates[move_rows, move_lanes]
-            chosen_long = is_long[slots[move_rows, move_lanes]]
+            chosen_long = self.csr.is_long[slot]
             self.current[movers] = chosen
             if self.metric.greedy:
-                self.current_score[movers] = scores[move_rows, move_lanes]
-            self.hops[movers] += 1
-            self.neighbor_hops[movers] += ~chosen_long
-            self.long_hops[movers] += chosen_long
-            if self.record_paths:
-                self._step_walks.append(movers)
-                self._step_nodes.append(chosen)
-            arrived = chosen == self.owners[movers]
-            if arrived.any():
-                done = movers[arrived]
-                self.success[done] = True
-                self.active[done] = False
-                retired.append(done)
-        return retired
-
-    def _advance_ragged(
-        self,
-        frontier: np.ndarray,
-        cur: np.ndarray,
-        starts: np.ndarray,
-        degrees: np.ndarray,
-    ) -> list[np.ndarray]:
-        """Segmented flat-CSR round: gather flat, score flat, reduceat.
-
-        The frontier's adjacency rows are concatenated into one flat
-        candidate vector (cost proportional to the *total* degree, not
-        ``frontier × max_degree``), scored through
-        :meth:`RoutingMetric.candidate_scores_flat`, and resolved per
-        walk with segmented reductions.  The per-walk argmin reproduces
-        the padded kernel's first-best-lane tie-break exactly: the
-        segment minimum comes from ``np.minimum.reduceat``, and the
-        chosen position is the first flat index attaining it (an
-        exact-width 2-d argmin when the live frontier is degree-uniform,
-        where reduceat loses to one reshape).
-        """
-        indices, is_long = self.csr.indices, self.csr.is_long
-        retired: list[np.ndarray] = []
-        w = frontier.size
-        # Walks with no candidates at all never reach the metric: they
-        # retire as stuck below, and excluding them keeps every reduceat
-        # segment non-empty (reduceat misbehaves on empty segments).
-        if int(degrees.min()) == 0:
-            sub = np.flatnonzero(degrees)
-            counts = degrees[sub]
-            row_starts = starts[sub]
-        else:
-            sub = None
-            counts = degrees
-            row_starts = starts
-        nseg = len(counts)
-        seg_starts = np.cumsum(counts) - counts
-        total = int(degrees.sum())
-        rows = np.repeat(self._ramp(nseg), counts)
-        flat_ramp = self._ramp(total)
-        # Flat position j in segment i maps to CSR slot
-        # row_starts[i] + (j - seg_starts[i]); one repeat + the ramp.
-        base = (row_starts - seg_starts).astype(self._idx_dtype, copy=False)
-        slots = np.repeat(base, counts) + flat_ramp
-        candidates = indices[slots]
-
-        if self.alive is not None:
-            live = self.alive[candidates]
-            if not live.all():
-                # Compress dead candidates out and rebuild the segment
-                # layout; walks left with zero live candidates join the
-                # stuck cohort via the improves mask below.
-                candidates = candidates[live]
-                slots = slots[live]
-                counts = np.add.reduceat(live.astype(np.int64), seg_starts)
-                keep = counts > 0
-                if not keep.all():
-                    sub = np.flatnonzero(keep) if sub is None else sub[keep]
-                    counts = counts[keep]
-                total = int(counts.sum())
-                if total == 0:
-                    self.reason_codes[frontier] = REASON_STUCK
-                    self.active[frontier] = False
-                    return [frontier]
-                nseg = len(counts)
-                seg_starts = np.cumsum(counts) - counts
-                rows = np.repeat(self._ramp(nseg), counts)
-                flat_ramp = self._ramp(total)
-
-        if sub is None:
-            walks_sub = frontier
-            cur_sub = cur
-        else:
-            walks_sub = frontier[sub]
-            cur_sub = cur[sub]
-
-        segments = Segments(starts=seg_starts, counts=counts, rows=rows)
-        scores = np.asarray(
-            self.metric.candidate_scores_flat(
-                candidates, slots, segments, self._state, walks_sub, cur_sub
-            ),
-            dtype=float,
-        )
-
-        width = int(counts[0])
-        if int(counts.min()) == int(counts.max()):
-            # Degree-uniform live frontier: exact-width batch, resolved
-            # with a plain 2-d argmin (first-min, same as padded).
-            block = scores.reshape(nseg, width)
-            lane = np.argmin(block, axis=1)
-            best = block[self._ramp(nseg), lane]
-            choice = seg_starts + lane
-        else:
-            best = np.minimum.reduceat(scores, seg_starts)
-            # First flat position attaining the segment minimum — the
-            # padded kernel's first-best-lane choice.  Bitwise equality
-            # is exact because `best` is one of the segment's elements.
-            at_min = scores == best[rows]
-            choice = np.minimum.reduceat(
-                np.where(at_min, flat_ramp, total), seg_starts
-            )
-        improves_sub = best < self.current_score[walks_sub]
-
-        if self.metric.terminal_owner_hop and not improves_sub.all():
-            # Chord's final hop, as a flat segmented any + first-hit.
-            owner_hit = candidates == self.owners[walks_sub][rows]
-            has_owner = np.bitwise_or.reduceat(owner_hit, seg_starts)
-            terminal = ~improves_sub & has_owner
-            if terminal.any():
-                first_owner = np.minimum.reduceat(
-                    np.where(owner_hit, flat_ramp, total), seg_starts
-                )
-                choice = np.where(terminal, first_owner, choice)
-                improves_sub = improves_sub | terminal
-
-        if sub is None:
-            improves = improves_sub
-        else:
-            improves = np.zeros(w, dtype=bool)
-            improves[sub] = improves_sub
-        stuck = frontier[~improves]
-        if stuck.size:
-            self.reason_codes[stuck] = REASON_STUCK
-            self.active[stuck] = False
-            retired.append(stuck)
-
-        movers = walks_sub[improves_sub]
-        if movers.size:
-            picked = choice[improves_sub]
-            chosen = candidates[picked]
-            chosen_long = is_long[slots[picked]]
-            self.current[movers] = chosen
-            if self.metric.greedy:
-                self.current_score[movers] = scores[picked]
+                self.current_score[movers] = score
             self.hops[movers] += 1
             self.neighbor_hops[movers] += ~chosen_long
             self.long_hops[movers] += chosen_long
@@ -1474,7 +1208,6 @@ def frontier_route_many(
     max_hops: int | None = None,
     record_paths: bool = False,
     prepared: PreparedTargets | None = None,
-    kernel: str = "auto",
 ) -> BatchRouteResult:
     """Route every ``(source, target_key)`` pair over ``csr`` under ``metric``.
 
@@ -1504,11 +1237,6 @@ def frontier_route_many(
             once in the parent process — where the metric's key
             transform / embedding callables live — and ships each worker
             its slice, so workers never need those callables.
-        kernel: frontier round layout — ``"auto"`` (the default; picks
-            flat-segmented or dense per round by fill ratio),
-            ``"ragged"`` (force segmented flat-CSR) or ``"padded"``
-            (force dense lane matrices); bit-identical outcomes, see
-            the module docstring.
 
     Raises:
         ValueError: on mismatched inputs, an out-of-range or dead source
@@ -1548,7 +1276,7 @@ def frontier_route_many(
 
     frontier = StreamFrontier(
         csr, metric, alive=alive, max_hops=max_hops,
-        record_paths=record_paths, capacity=n_routes, kernel=kernel,
+        record_paths=record_paths, capacity=n_routes,
     )
     # A fresh frontier allocates slots sequentially, so slot i IS route
     # i and the resident columns double as the result columns.
@@ -1610,8 +1338,8 @@ def _record_batch_telemetry(
     Per batch: walk/round counters, the full REASON-code histogram
     (zeros included — the stable-schema contract downstream dashboards
     rely on), the hop-count P² estimator, a per-metric-family batch
-    timer, the frontier fill-ratio gauge (real candidates over the
-    padded layout's slot budget), and one ``routing.batch`` trace event.
+    timer, the frontier fill-ratio gauge (real candidates over the full
+    lane matrices' slots), and one ``routing.batch`` trace event.
     """
     registry = telemetry.get_registry()
     family = _metric_family(metric)

@@ -8,14 +8,12 @@ into :func:`repro.core.build_skewed_model`.
 
 from repro.estimation.histogram import HistogramEstimator
 from repro.estimation.kde import KernelDensityEstimate, silverman_bandwidth
-from repro.estimation.quantile import QuantileSketch
 from repro.estimation.sampling import random_walk_sample, uniform_id_sample
 
 __all__ = [
     "HistogramEstimator",
     "KernelDensityEstimate",
     "silverman_bandwidth",
-    "QuantileSketch",
     "random_walk_sample",
     "uniform_id_sample",
 ]

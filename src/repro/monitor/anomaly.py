@@ -148,8 +148,10 @@ class SloPolicy:
             only when a cache is configured).
         reason_chi2_max: budgeted chi-square distance of the window's
             retirement-reason mix from the baseline window.
-        fill_ratio_min: minimum frontier fill ratio (padding-waste
-            watchdog; only meaningful on padded/auto kernels).
+        fill_ratio_min: minimum frontier fill ratio — real candidates
+            over the ``frontier × max_degree`` lane matrix, a measure of
+            the graph's degree skew; below one half the kernel splits
+            rounds into degree buckets.
     """
 
     hop_inflation_max: float | None = 3.0

@@ -66,11 +66,6 @@ class ServeConfig:
         workers: ``None``/``1`` serves from the resident stream;
             ``> 1`` routes each admitted micro-batch through the
             sharded parallel kernel.
-        kernel: frontier round layout — ``"auto"`` (the default; picks
-            flat-segmented or dense per round by fill ratio),
-            ``"ragged"`` (force segmented flat-CSR) or ``"padded"``
-            (force dense lane matrices); bit-identical outcomes, see
-            :mod:`repro.core.metric_routing`.
     """
 
     admit_per_round: int = 4096
@@ -78,7 +73,6 @@ class ServeConfig:
     max_hops: int | None = None
     cache_capacity: int = 0
     workers: int | None = None
-    kernel: str = "auto"
 
     def __post_init__(self):
         if self.admit_per_round < 1:
@@ -93,11 +87,6 @@ class ServeConfig:
             )
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.kernel not in ("auto", "ragged", "padded"):
-            raise ValueError(
-                f"unknown frontier kernel {self.kernel!r}; "
-                "expected 'auto', 'ragged' or 'padded'"
-            )
 
 
 @dataclass
@@ -316,7 +305,7 @@ class ServingEngine:
         self._frontier = (
             StreamFrontier(
                 self.csr, self.metric, max_hops=self.max_hops,
-                capacity=self.config.max_active, kernel=self.config.kernel,
+                capacity=self.config.max_active,
             )
             if self._serial
             else None
@@ -505,7 +494,6 @@ class ServingEngine:
             batch = frontier_route_many_parallel(
                 self.csr, self.metric, sources, keys,
                 max_hops=self.max_hops, workers=self.workers,
-                kernel=self.config.kernel,
             )
             # Shard-summed round/fill stats so parallel mode reports the
             # same observables the resident frontier keeps live.
@@ -613,6 +601,12 @@ class ServingEngine:
             str(label): int(self._reason_tally[code])
             for code, label in enumerate(_REASON_LABELS)
         }
+        if self._frontier is not None:
+            fill_ratio = self._frontier.fill_ratio
+        elif self._padded_slots_seen:
+            fill_ratio = self._candidates_seen / self._padded_slots_seen
+        else:
+            fill_ratio = 1.0
         return ServeReport(
             n_queries=n,
             seconds=secs,
@@ -633,19 +627,5 @@ class ServingEngine:
             cache=self.cache.stats() if self.cache is not None else None,
             workers=1 if self._serial else int(self.workers),
             rounds=self.rounds,
-            extras=(
-                {
-                    "kernel": self.config.kernel,
-                    "frontier_fill_ratio": self._frontier.fill_ratio,
-                }
-                if self._frontier is not None
-                else {
-                    "kernel": self.config.kernel,
-                    "frontier_fill_ratio": (
-                        self._candidates_seen / self._padded_slots_seen
-                        if self._padded_slots_seen
-                        else 1.0
-                    ),
-                }
-            ),
+            extras={"frontier_fill_ratio": fill_ratio},
         )

@@ -2,9 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.baselines import CANOverlay, Zone, measure_overlay
+from repro.core.metric_routing import TorusZoneMetric
 from repro.distributions import PowerLaw
+
+#: Unit-torus coordinates, weighted toward the boundary values.
+_COORD = st.one_of(
+    st.sampled_from([0.0, float(np.nextafter(1.0, 0.0)), 0.5, 1.0]),
+    st.floats(0.0, 1.0),
+)
+#: ``(x, lo, hi)`` triples, a share of them with ``lo == x``.
+_AXIS_CASE = st.one_of(
+    st.tuples(_COORD, _COORD, _COORD),
+    st.tuples(_COORD, _COORD).map(lambda xh: (xh[0], xh[0], xh[1])),
+)
 
 
 class TestZone:
@@ -26,6 +40,19 @@ class TestZone:
         left, right = zone.split()  # depth 1 -> split along dim 1
         assert left.hi[1] == pytest.approx(0.5)
         assert left.hi[0] == pytest.approx(1.0)
+
+
+class TestAxisDistance:
+    @given(st.lists(_AXIS_CASE, min_size=1, max_size=40))
+    def test_vectorized_matches_scalar_bitwise(self, cases):
+        """The zone scorer's collapsed wrap terms are exact, not close."""
+        x, lo, hi = (np.array(col, dtype=float) for col in zip(*cases))
+        metric = TorusZoneMetric(lo[:, None], hi[:, None])
+        got = metric._zone_distances(x[:, None], np.arange(len(cases)))
+        expect = np.array(
+            [CANOverlay._axis_distance(*case) for case in zip(x, lo, hi)]
+        )
+        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
 
 
 class TestConstruction:

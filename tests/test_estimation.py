@@ -8,7 +8,6 @@ from repro.distributions import PowerLaw, TruncatedNormal, Uniform
 from repro.estimation import (
     HistogramEstimator,
     KernelDensityEstimate,
-    QuantileSketch,
     random_walk_sample,
     silverman_bandwidth,
     uniform_id_sample,
@@ -87,54 +86,6 @@ class TestKDE:
     def test_rejects_bad_bandwidth(self, rng):
         with pytest.raises(ValueError):
             KernelDensityEstimate(rng.random(10), bandwidth=0.0)
-
-
-class TestQuantileSketch:
-    def test_small_sample_exact(self):
-        sketch = QuantileSketch(n_quantiles=3)
-        sketch.observe([0.1, 0.2, 0.3])
-        qs = sketch.quantiles()
-        assert qs[0] == pytest.approx(0.1)
-        assert qs[-1] == pytest.approx(0.3)
-
-    def test_streaming_tracks_uniform(self, rng):
-        sketch = QuantileSketch(n_quantiles=9)
-        sketch.observe(rng.random(5000))
-        estimated = sketch.quantiles()
-        expected = sketch.probs
-        assert np.max(np.abs(estimated - expected)) < 0.05
-
-    def test_streaming_tracks_skewed(self, rng):
-        truth = PowerLaw(alpha=1.5, shift=1e-2)
-        sketch = QuantileSketch(n_quantiles=15)
-        sketch.observe(truth.sample(8000, rng))
-        estimated = sketch.quantiles()
-        expected = np.asarray(truth.ppf(sketch.probs))
-        assert np.max(np.abs(estimated - expected)) < 0.05
-
-    def test_distribution_snapshot(self, rng):
-        sketch = QuantileSketch(n_quantiles=7)
-        sketch.observe(rng.random(1000))
-        dist = sketch.distribution()
-        assert dist.cdf(0.5) == pytest.approx(0.5, abs=0.1)
-
-    def test_markers_stay_sorted(self, rng):
-        sketch = QuantileSketch(n_quantiles=5)
-        sketch.observe(rng.random(3000))
-        qs = sketch.quantiles()
-        assert np.all(np.diff(qs) >= 0)
-
-    def test_no_observations_raises(self):
-        with pytest.raises(ValueError):
-            QuantileSketch().quantiles()
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            QuantileSketch().observe([2.0])
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            QuantileSketch(n_quantiles=0)
 
 
 class TestSampling:

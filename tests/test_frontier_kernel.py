@@ -1,8 +1,9 @@
-"""Bit-identity suite for the ragged (segmented flat-CSR) frontier kernel.
+"""Bit-identity suite for the degree-bucketed frontier kernel.
 
-The ragged kernel must reproduce the padded lane-matrix kernel's
-outcomes *bitwise* — success, hops, neighbour/long split, reasons,
-owners, and full recorded paths — across:
+The kernel must reproduce the dense oracle's outcomes *bitwise* (one
+``(frontier, max_degree)`` lane block per round,
+``tests/oracles/dense_frontier.py``) — success, hops, neighbour/long
+split, reasons, owners, and full recorded paths — across:
 
 * all six shipped metric families (greedy-value, clockwise/Chord with
   its terminal owner hop, prefix-digit/Pastry, trie/P-Grid,
@@ -11,13 +12,10 @@ owners, and full recorded paths — across:
   zero-out-degree rows mixed into a live frontier, liveness masks that
   kill every candidate of some walks;
 * streaming admission — walks joining a resident frontier in staggered
-  micro-batches;
-* the default ``candidate_scores_flat`` adapter, so padded-only
-  third-party metrics keep working under the ragged kernel.
+  micro-batches.
 
-Plus the plumbing: kernel validation, the ``"auto"`` per-round layout
-dispatch, scratch-buffer fill-ratio accounting, the telemetry
-counters/gauge, and serving-engine parity.
+Plus the fill-ratio accounting, the telemetry counters/gauge, the
+per-round block count, and serving-engine parity.
 """
 
 import numpy as np
@@ -36,15 +34,17 @@ from repro.baselines import (
 )
 from repro.core import build_uniform_model, route_many
 from repro.core.adjacency import CSRAdjacency, csr_from_flat_links
+from repro.core.batch_routing import _graph_metric
 from repro.core.metric_routing import (
     GreedyValueMetric,
-    RoutingMetric,
     StreamFrontier,
     frontier_route_many,
 )
 from repro.distributions import PowerLaw
 from repro.keyspace import RingSpace
 from repro.serving import ServeConfig, ServingEngine
+
+from oracles.dense_frontier import DenseFrontier, dense_route_many
 
 
 def _uniform_ids(n, seed):
@@ -80,33 +80,26 @@ def _make_family(name, ids, rng):
     raise KeyError(name)
 
 
-def _assert_batches_identical(padded, ragged):
+def _assert_batches_identical(expect, got):
     for col in (
         "success", "hops", "neighbor_hops", "long_hops",
         "reason_codes", "owners",
     ):
-        assert np.array_equal(getattr(padded, col), getattr(ragged, col)), col
-    if padded.paths is not None or ragged.paths is not None:
-        assert padded.paths == ragged.paths
+        assert np.array_equal(getattr(expect, col), getattr(got, col)), col
+    if expect.paths is not None or got.paths is not None:
+        assert expect.paths == got.paths
 
 
-def _route_both_kernels(overlay, sources, keys):
-    padded = route_many_overlay(
-        overlay, sources, keys, record_paths=True, kernel="padded"
-    )
-    ragged = route_many_overlay(
-        overlay, sources, keys, record_paths=True, kernel="ragged"
-    )
-    _assert_batches_identical(padded, ragged)
-    auto = route_many_overlay(
-        overlay, sources, keys, record_paths=True, kernel="auto"
-    )
-    _assert_batches_identical(padded, auto)
-    return ragged
+def _route_against_oracle(overlay, sources, keys):
+    csr, metric = overlay._frontier()
+    expect = dense_route_many(csr, metric, sources, keys, record_paths=True)
+    got = route_many_overlay(overlay, sources, keys, record_paths=True)
+    _assert_batches_identical(expect, got)
+    return got
 
 
 class TestSixFamilyParity:
-    """Padded vs ragged, bitwise, for every family × key regime."""
+    """Kernel vs dense oracle, bitwise, for every family × key regime."""
 
     @pytest.mark.parametrize("name", SIX_FAMILIES)
     def test_uniform_population(self, name, rng):
@@ -114,7 +107,7 @@ class TestSixFamilyParity:
         sources, keys = sample_overlay_lookups(
             overlay, 200, np.random.default_rng(3), targets="uniform"
         )
-        _route_both_kernels(overlay, sources, keys)
+        _route_against_oracle(overlay, sources, keys)
 
     @pytest.mark.parametrize("name", SIX_FAMILIES)
     def test_skewed_population(self, name, rng):
@@ -122,7 +115,7 @@ class TestSixFamilyParity:
         sources, keys = sample_overlay_lookups(
             overlay, 200, np.random.default_rng(4), targets="uniform"
         )
-        _route_both_kernels(overlay, sources, keys)
+        _route_against_oracle(overlay, sources, keys)
 
     @pytest.mark.parametrize("name", ["chord", "pastry", "pgrid", "symphony"])
     def test_peer_id_keys(self, name, rng):
@@ -132,7 +125,7 @@ class TestSixFamilyParity:
             overlay, 200, np.random.default_rng(5),
             targets="peers", target_ids=overlay.ids,
         )
-        _route_both_kernels(overlay, sources, keys)
+        _route_against_oracle(overlay, sources, keys)
 
 
 class TestSkewDegreeParity:
@@ -156,14 +149,10 @@ class TestSkewDegreeParity:
             rng.random(300) < 0.5, 0, rng.integers(0, csr.n, size=300)
         ).astype(np.int64)
         keys = rng.random(300)
-        padded = frontier_route_many(
-            csr, metric, sources, keys, record_paths=True, kernel="padded"
-        )
-        ragged = frontier_route_many(
-            csr, metric, sources, keys, record_paths=True, kernel="ragged"
-        )
-        _assert_batches_identical(padded, ragged)
-        assert padded.success.any()
+        expect = dense_route_many(csr, metric, sources, keys, record_paths=True)
+        got = frontier_route_many(csr, metric, sources, keys, record_paths=True)
+        _assert_batches_identical(expect, got)
+        assert expect.success.any()
 
     def test_hub_fill_ratio_below_one(self):
         csr, metric, ids = self._hub_graph()
@@ -171,10 +160,14 @@ class TestSkewDegreeParity:
         sources = rng.integers(0, csr.n, size=400)
         frontier = StreamFrontier(csr, metric, capacity=400)
         frontier.admit(sources, metric.prepare(rng.random(400)))
+        blocks = []
         while frontier.active_count:
             frontier.step()
+            blocks.append(frontier.last_round_blocks)
         assert frontier.padded_slots_seen > frontier.candidates_seen
         assert 0.0 < frontier.fill_ratio < 1.0
+        # The hub's rounds are padding-heavy, so they split into buckets.
+        assert max(blocks) > 1
 
     def test_zero_degree_rows_in_live_frontier(self):
         """Walks on edgeless nodes go stuck alongside advancing walks."""
@@ -193,16 +186,12 @@ class TestSkewDegreeParity:
         metric = GreedyValueMetric(ids, RingSpace())
         sources = np.arange(n, dtype=np.int64)  # every row, empty ones included
         keys = rng.random(n)
-        padded = frontier_route_many(
-            csr, metric, sources, keys, record_paths=True, kernel="padded"
-        )
-        ragged = frontier_route_many(
-            csr, metric, sources, keys, record_paths=True, kernel="ragged"
-        )
-        _assert_batches_identical(padded, ragged)
+        expect = dense_route_many(csr, metric, sources, keys, record_paths=True)
+        got = frontier_route_many(csr, metric, sources, keys, record_paths=True)
+        _assert_batches_identical(expect, got)
         # The empty rows really were part of the live frontier.
         empty = degrees[sources] == 0
-        assert (padded.reasons[empty & ~padded.success] == "stuck").all()
+        assert (got.reasons[empty & ~got.success] == "stuck").all()
 
     @pytest.mark.parametrize("kill", ["some", "all"])
     def test_alive_masks(self, kill, rng):
@@ -217,19 +206,18 @@ class TestSkewDegreeParity:
         else:
             alive[:] = False  # every candidate dead: only sources survive
         alive[sources] = True
-        padded = route_many(
-            graph, sources, keys, alive=alive, record_paths=True, kernel="padded"
+        expect = dense_route_many(
+            graph.adjacency, _graph_metric(graph, "key"), sources, keys,
+            alive=alive, record_paths=True,
         )
-        ragged = route_many(
-            graph, sources, keys, alive=alive, record_paths=True, kernel="ragged"
-        )
-        _assert_batches_identical(padded, ragged)
+        got = route_many(graph, sources, keys, alive=alive, record_paths=True)
+        _assert_batches_identical(expect, got)
         if kill == "all":
-            assert (ragged.reasons[~ragged.success] == "stuck").all()
+            assert (got.reasons[~got.success] == "stuck").all()
 
 
 class TestStreamingAdmission:
-    """Staggered admit/step interleavings match between kernels."""
+    """Staggered admit/step interleavings match the dense oracle."""
 
     def test_staggered_admission_parity(self, rng):
         graph = build_uniform_model(n=512, rng=rng)
@@ -240,10 +228,8 @@ class TestStreamingAdmission:
         chunks = np.array_split(np.arange(600), 7)
 
         outcomes = {}
-        for kernel in ("padded", "ragged"):
-            frontier = StreamFrontier(
-                graph.adjacency, metric, capacity=64, kernel=kernel
-            )
+        for kernel in (DenseFrontier, StreamFrontier):
+            frontier = kernel(graph.adjacency, metric, capacity=64)
             slots = np.empty(600, dtype=np.int64)
             for chunk in chunks:
                 slots[chunk] = frontier.admit(
@@ -259,105 +245,11 @@ class TestStreamingAdmission:
                     "reason_codes", "owners",
                 )
             }
-        for col, expect in outcomes["padded"].items():
-            assert np.array_equal(expect, outcomes["ragged"][col]), col
-
-
-class _PaddedOnlyMetric(RoutingMetric):
-    """A third-party-style metric that only implements the padded API."""
-
-    def __init__(self, inner: GreedyValueMetric):
-        self.inner = inner
-
-    def prepare(self, target_keys, alive=None):
-        return self.inner.prepare(target_keys, alive)
-
-    def initial_scores(self, nodes, state):
-        return self.inner.initial_scores(nodes, state)
-
-    def candidate_scores(self, candidates, slots, usable, state, walks, current):
-        return self.inner.candidate_scores(
-            candidates, slots, usable, state, walks, current
-        )
-
-
-class TestDefaultAdapter:
-    def test_padded_only_metric_routes_under_ragged(self, rng):
-        graph = build_uniform_model(n=256, rng=rng)
-        metric = _PaddedOnlyMetric(GreedyValueMetric(graph.ids, graph.space))
-        wrng = np.random.default_rng(61)
-        sources = wrng.integers(0, graph.n, size=200)
-        keys = wrng.random(200)
-        padded = frontier_route_many(
-            graph.adjacency, metric, sources, keys,
-            record_paths=True, kernel="padded",
-        )
-        ragged = frontier_route_many(
-            graph.adjacency, metric, sources, keys,
-            record_paths=True, kernel="ragged",
-        )
-        _assert_batches_identical(padded, ragged)
+        for col, expect in outcomes[DenseFrontier].items():
+            assert np.array_equal(expect, outcomes[StreamFrontier][col]), col
 
 
 class TestKernelPlumbing:
-    def test_unknown_kernel_rejected(self, rng):
-        graph = build_uniform_model(n=64, rng=rng)
-        metric = GreedyValueMetric(graph.ids, graph.space)
-        with pytest.raises(ValueError, match="unknown frontier kernel"):
-            StreamFrontier(graph.adjacency, metric, kernel="jagged")
-        with pytest.raises(ValueError, match="unknown frontier kernel"):
-            frontier_route_many(
-                graph.adjacency, metric, [0], [0.5], kernel="dense"
-            )
-        with pytest.raises(ValueError, match="unknown frontier kernel"):
-            ServeConfig(kernel="sparse")
-
-    def test_auto_dispatch_picks_layout_by_fill(self, rng, monkeypatch):
-        """auto routes dense rounds padded and padding-heavy rounds ragged."""
-        calls = {"ragged": 0, "padded": 0}
-        orig_ragged = StreamFrontier._advance_ragged
-        orig_padded = StreamFrontier._advance_padded
-
-        def spy_ragged(self, *args):
-            calls["ragged"] += 1
-            return orig_ragged(self, *args)
-
-        def spy_padded(self, *args):
-            calls["padded"] += 1
-            return orig_padded(self, *args)
-
-        monkeypatch.setattr(StreamFrontier, "_advance_ragged", spy_ragged)
-        monkeypatch.setattr(StreamFrontier, "_advance_padded", spy_padded)
-
-        def drive(csr, metric, sources, keys):
-            frontier = StreamFrontier(
-                csr, metric, capacity=len(sources), kernel="auto"
-            )
-            frontier.admit(sources, metric.prepare(keys))
-            while frontier.active_count:
-                frontier.step()
-
-        # Degree-uniform lattice: fill is 1.0 every round -> all padded.
-        overlay = WattsStrogatzOverlay(128, k=2, p=0.0, rng=rng)
-        csr, metric = overlay._frontier()
-        wrng = np.random.default_rng(71)
-        drive(csr, metric, wrng.integers(0, 128, size=100), wrng.random(100))
-        assert calls["padded"] > 0 and calls["ragged"] == 0
-
-        # One 180-degree hub among degree ~4 rows: any round containing
-        # the hub is overwhelmingly padding -> the ragged layout runs.
-        calls["ragged"] = calls["padded"] = 0
-        hrng = np.random.default_rng(72)
-        long_counts = hrng.integers(0, 4, size=256)
-        long_counts[0] = 180
-        long_flat = hrng.integers(0, 256, size=int(long_counts.sum()))
-        hub_csr = csr_from_flat_links(256, True, long_counts, long_flat)
-        hub_metric = GreedyValueMetric(_uniform_ids(256, 72), RingSpace())
-        sources = np.zeros(200, dtype=np.int64)
-        sources[100:] = hrng.integers(0, 256, size=100)
-        drive(hub_csr, hub_metric, sources, hrng.random(200))
-        assert calls["ragged"] > 0
-
     def test_uniform_degree_frontier_is_padding_free(self, rng):
         """An unrewired WS ring is degree-uniform: fill ratio exactly 1."""
         overlay = WattsStrogatzOverlay(128, k=2, p=0.0, rng=rng)
@@ -365,13 +257,14 @@ class TestKernelPlumbing:
         wrng = np.random.default_rng(81)
         sources = wrng.integers(0, 128, size=100)
         keys = wrng.random(100)
-        for kernel in ("padded", "ragged"):
-            frontier = StreamFrontier(csr, metric, capacity=100, kernel=kernel)
+        for kernel in (DenseFrontier, StreamFrontier):
+            frontier = kernel(csr, metric, capacity=100)
             frontier.admit(sources, metric.prepare(keys))
             while frontier.active_count:
                 frontier.step()
+                assert frontier.last_round_blocks <= 1
             assert frontier.fill_ratio == 1.0
-        _route_both_kernels(overlay, sources, keys)
+        _route_against_oracle(overlay, sources, keys)
 
     def test_telemetry_counters_and_fill_gauge(self, rng):
         graph = build_uniform_model(n=256, rng=rng)
@@ -391,49 +284,41 @@ class TestKernelPlumbing:
             telemetry.disable()
 
     def test_counters_kernel_independent(self, rng):
-        """Both kernels see the same frontier, so the stats must agree."""
+        """Kernel and oracle see the same frontier, so the stats agree."""
         graph = build_uniform_model(n=256, rng=rng)
         metric = GreedyValueMetric(graph.ids, graph.space)
         wrng = np.random.default_rng(92)
         sources = wrng.integers(0, graph.n, size=300)
         keys = wrng.random(300)
         stats = {}
-        for kernel in ("padded", "ragged"):
-            frontier = StreamFrontier(
-                graph.adjacency, metric, capacity=300, kernel=kernel
-            )
+        for kernel in (DenseFrontier, StreamFrontier):
+            frontier = kernel(graph.adjacency, metric, capacity=300)
             frontier.admit(sources, metric.prepare(keys))
             while frontier.active_count:
                 frontier.step()
             stats[kernel] = (frontier.candidates_seen, frontier.padded_slots_seen)
-        assert stats["padded"] == stats["ragged"]
+        assert stats[DenseFrontier] == stats[StreamFrontier]
 
 
 class TestServingKernelParity:
     def test_engine_outcomes_identical_across_kernels(self, rng):
+        """The resident serving frontier retires what the oracle does."""
         graph = build_uniform_model(n=512, rng=rng)
         wrng = np.random.default_rng(101)
         sources = wrng.integers(0, graph.n, size=2000)
         keys = graph.ids[wrng.integers(0, graph.n, size=2000)]
-        results = {}
-        for kernel in ("padded", "ragged", "auto"):
-            engine = ServingEngine(
-                graph,
-                ServeConfig(admit_per_round=128, max_active=256, kernel=kernel),
-            )
-            engine.submit(sources, keys)
-            engine.drain()
-            res = engine.results()
-            results[kernel] = res
-            report = engine.report()
-            assert report.extras["kernel"] == kernel
-            assert 0.0 < report.extras["frontier_fill_ratio"] <= 1.0
-        for other in ("ragged", "auto"):
-            for col in (
-                "owners", "hops", "neighbor_hops", "long_hops",
-                "success", "reason_codes",
-            ):
-                assert np.array_equal(
-                    getattr(results["padded"], col),
-                    getattr(results[other], col),
-                ), f"{other}:{col}"
+        engine = ServingEngine(
+            graph, ServeConfig(admit_per_round=128, max_active=256)
+        )
+        engine.submit(sources, keys)
+        engine.drain()
+        got = engine.results()
+        assert 0.0 < engine.report().extras["frontier_fill_ratio"] <= 1.0
+        expect = dense_route_many(
+            graph.adjacency, _graph_metric(graph, "key"), sources, keys
+        )
+        for col in (
+            "owners", "hops", "neighbor_hops", "long_hops",
+            "success", "reason_codes",
+        ):
+            assert np.array_equal(getattr(expect, col), getattr(got, col)), col

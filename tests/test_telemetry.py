@@ -30,6 +30,7 @@ import pytest
 
 from repro import telemetry
 from repro.core import build_uniform_model, route_many, sample_routes
+from repro.distributions import PowerLaw, Uniform
 from repro.experiments.cli import main as cli_main
 from repro.overlay.stats import summarize_lookups
 from repro.parallel import get_executor, route_many_parallel
@@ -113,6 +114,10 @@ class TestP2Quantile:
         # 2 observations < 3 markers: exact empirical quantiles.
         assert q.quantile(0.0) == 1.0
         assert q.quantile(1.0) == 3.0
+        # Exactly filling the marker lattice keeps the sorted sample.
+        q = P2Quantile(probs=(0.5,))
+        q.observe_batch([0.3, 0.1, 0.2])
+        assert [q.quantile(p) for p in (0.0, 0.5, 1.0)] == [0.1, 0.2, 0.3]
 
     def test_accuracy_on_large_stream(self):
         rng = np.random.default_rng(0)
@@ -122,6 +127,14 @@ class TestP2Quantile:
         for p in (0.5, 0.9, 0.99):
             true = float(np.quantile(data, p))
             assert q.quantile(p) == pytest.approx(true, rel=0.05)
+        # Shorter bounded and heavy-tailed streams: every tracked
+        # probability lands near the true quantile, markers in order.
+        for truth, n in ((Uniform(), 5_000), (PowerLaw(alpha=1.5, shift=1e-2), 8_000)):
+            q = P2Quantile(probs=PROBS)
+            q.observe_batch(truth.sample(n, rng))
+            estimates = np.array([q.quantile(p) for p in PROBS])
+            assert np.all(np.diff(estimates) >= 0)
+            assert np.max(np.abs(estimates - truth.ppf(np.array(PROBS)))) < 0.05
 
     def test_batch_update_is_deterministic(self):
         rng = np.random.default_rng(1)
@@ -190,6 +203,12 @@ class TestP2Quantile:
             P2Quantile(probs=(0.0, 0.5))
         with pytest.raises(ValueError, match="increasing"):
             P2Quantile(probs=(0.5, 0.5))
+        with pytest.raises(ValueError, match="no observations"):
+            P2Quantile().quantile(0.5)
+        q = P2Quantile()
+        q.observe(1.0)
+        with pytest.raises(ValueError, match="lie in"):
+            q.quantile(1.5)
 
 
 # ----------------------------------------------------------------------
